@@ -411,7 +411,7 @@ def _cmd_validate(args) -> int:
             status = "skip" if ok is None else ("pass" if ok else "fail")
             rows.append({"suite": name, "check": check, "measured": float(measured),
                          "tolerance": float(tol), "status": status})
-            failed = failed or ok is False
+            failed = failed or (ok is not None and not ok)
     print(json.dumps(rows, indent=2))
     return 1 if failed else 0
 

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, ndtr
+from scipy.special import loggamma, ndtr
 
 from .charfn import (
     ContinuationMode,
@@ -37,13 +37,7 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    find_decay_point,
-    integrate_panels,
-    panel_edges,
-)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, half_line_pass
 
 
 class OptionStyle(str, enum.Enum):
@@ -60,10 +54,10 @@ class OptionContract:
     maturity: float
 
     def __post_init__(self):
-        if self.strike <= 0:
-            raise DomainError("strike must be positive")
-        if self.maturity <= 0:
-            raise DomainError("maturity must be positive")
+        if not (np.isfinite(self.strike) and self.strike > 0):
+            raise DomainError("strike must be positive and finite")
+        if not (np.isfinite(self.maturity) and self.maturity > 0):
+            raise DomainError("maturity must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,9 @@ def hamiltonian(model: MarketModel, k: complex) -> complex:
 def _gamma_ratio_symbol(model: MarketModel, k):
     eta, sig, phi_dir = projection_params(model)
     ik = 1j * np.asarray(k, dtype=complex)
-    # Gamma(ik + eta) / Gamma(ik) = Gamma(ik + eta) * ik / Gamma(ik + 1)
-    ratio = _gamma(ik + eta) * ik / _gamma(ik + 1.0)
+    # Gamma(ik + eta) / Gamma(ik) = ik Gamma(ik + eta) / Gamma(ik + 1), taken
+    # through log-Gamma: both Gammas under- or overflow at large |k|
+    ratio = ik * np.exp(loggamma(ik + eta) - loggamma(ik + 1.0))
     return -0.5 * phi_dir * sig ** eta * ratio
 
 
@@ -202,6 +197,52 @@ def _pricing_scales(model: MarketModel, tau: float) -> float:
     return (1.0 / (tau * phi_dir)) ** (1.0 / eta) / sig
 
 
+def _theta_integral(cf_pair, y: float, zi: float, scale: float, envelope,
+                    quad: QuadratureConfig, wide_target: float | None):
+    """Half-line theta-integral of the contour-shifted (appendix) representation.
+
+    int_0^inf ( sin(theta y)/theta * (cosh(theta zi) M1 + sinh(theta zi) M2)
+              + i cos(theta y)/theta * (cosh(theta zi) M2 + sinh(theta zi) M1) ) dtheta
+    with M1, M2 the even/odd combinations of the pair F(+theta), F(-theta)
+    returned by `cf_pair`.  Returns (value, error, wide value) of
+    `half_line_pass`.
+    """
+    def integrand(ths):
+        f_plus, f_minus = cf_pair(ths)
+        up = np.exp(ths * zi)
+        down = np.exp(-ths * zi)
+        m_sin = up * f_plus + down * f_minus
+        m_cos = up * f_plus - down * f_minus
+        return (np.sin(ths * y) / ths * m_sin
+                + 1j * np.cos(ths * y) / ths * m_cos)
+
+    return half_line_pass(integrand, scale, abs(y), quad, envelope,
+                          wide_target=wide_target)
+
+
+def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: float,
+                   quad: QuadratureConfig, wide_target: float | None = None):
+    """(value, error, wide value) of the appendix-route factor N^(s)(d; z)."""
+    if tau <= 0:
+        raise DomainError("n-factor requires tau > 0")
+    z = complex(z)
+    zr, zi = z.real, z.imag
+    scale = _pricing_scales(model, tau)
+    _check_decay(model, s, tau, zi, probe=scale)
+
+    def envelope(th):
+        g = tau * log_cf_complex(model, th + 1j * s).real - abs(zi) * th
+        return float(np.exp(-min(g, 700.0)))
+
+    val, err, wide = _theta_integral(lambda ths: _shifted_cf_pair(model, ths, s, tau),
+                                     d + zr, zi, scale, envelope, quad, wide_target)
+    first = np.exp(-tau * log_cf_imag_upper(model, s))
+    pre = np.exp(s * z) / 2.0
+    return (complex(pre * (first + val / np.pi)),
+            abs(pre) * err / np.pi,
+            complex(pre * (first + wide / np.pi)))
+
+
 def n_factor_appendix(model: MarketModel, s: float, d: float, z: complex,
                       tau: float, quad: QuadratureConfig = DEFAULT_QUADRATURE
                       ) -> tuple[complex, float]:
@@ -215,36 +256,8 @@ def n_factor_appendix(model: MarketModel, s: float, d: float, z: complex,
     the two half-line branches; for real z they reduce to the plain M1/M2
     combination.  Returns (value, error estimate).
     """
-    if tau <= 0:
-        raise DomainError("n-factor requires tau > 0")
-    z = complex(z)
-    zr, zi = z.real, z.imag
-    scale = _pricing_scales(model, tau)
-    _check_decay(model, s, tau, zi, probe=scale)
-
-    def envelope(th):
-        g = tau * log_cf_complex(model, th + 1j * s).real - abs(zi) * th
-        return float(np.exp(-min(g, 700.0)))
-
-    x_end = find_decay_point(envelope, quad.tolerance * 1e-3, scale, quad.theta_cutoff)
-    freq = abs(d + zr)
-    period = 2 * np.pi / freq if freq > 0 else np.inf
-    max_width = min(4.0 * scale, period / 2.5)
-    edges = panel_edges(x_end, min(scale / 8.0, max_width), quad.panel_growth, max_width)
-
-    def integrand(ths):
-        f_plus, f_minus = _shifted_cf_pair(model, ths, s, tau)
-        up = np.exp(ths * zi)
-        down = np.exp(-ths * zi)
-        m_sin = up * f_plus + down * f_minus
-        m_cos = up * f_plus - down * f_minus
-        return (np.sin(ths * (d + zr)) / ths * m_sin
-                + 1j * np.cos(ths * (d + zr)) / ths * m_cos)
-
-    val, err = integrate_panels(integrand, edges, quad.nodes_per_panel)
-    first = np.exp(-tau * log_cf_imag_upper(model, s))
-    out = np.exp(s * z) / 2.0 * (first + val / np.pi)
-    return complex(out), abs(np.exp(s * z)) / 2.0 * err / np.pi
+    value, err, _ = _appendix_pass(model, s, d, z, tau, quad)
+    return value, err
 
 
 def _real_cf(model: MarketModel, tau: float):
@@ -255,6 +268,39 @@ def _real_cf(model: MarketModel, tau: float):
         return np.exp(-tau * phi_dir * (sig * np.abs(ths)) ** eta)
 
     return cf
+
+
+def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: float,
+                 quad: QuadratureConfig, wide_target: float | None = None) -> list:
+    """Direct-route factors for every s in `shifts`, on one set of nodes.
+
+    The kernels of N^(0) and N^(1) share the real characteristic factor,
+    the decay scale and the frequency |d + z|, hence their panels, so
+    exp(-tau phi) is evaluated once per node for all of them.  Returns one
+    (value, error, wide value) triple per shift.
+    """
+    y = d + zr
+    cf = _real_cf(model, tau)
+
+    def integrand(ths):
+        c = cf(ths)
+        sn = np.sin(ths * y)
+        return np.array([sn / ths * c if s == 0 else
+                         c * (np.cos(ths * y) - ths * sn) / (1.0 + ths * ths)
+                         for s in shifts])
+
+    vals, errs, wides = half_line_pass(integrand, _pricing_scales(model, tau), abs(y), quad,
+                                       lambda th: float(cf(np.array([th]))[0]),
+                                       wide_target=wide_target)
+    out = []
+    for s, val, err, wide in zip(shifts, vals.tolist(), errs.tolist(), wides.tolist()):
+        if s == 0:
+            out.append((complex(0.5 + val / np.pi), err / np.pi, 0.5 + wide / np.pi))
+        else:
+            t_scale = np.exp(-y) / np.pi
+            out.append((complex(1.0 - np.exp(zr) * (t_scale * val)),
+                        np.exp(zr - y) * err / np.pi, 1.0 - np.exp(zr) * (t_scale * wide)))
+    return out
 
 
 def n_factor_direct(model: MarketModel, s: float, d: float, z: complex, tau: float,
@@ -275,30 +321,8 @@ def n_factor_direct(model: MarketModel, s: float, d: float, z: complex, tau: flo
         raise DomainError("the direct route needs a real shift z (real-part mode)")
     if s not in (0.0, 1.0, 0, 1):
         raise DomainError("the direct route supports s in {0, 1}")
-    zr = z.real
-    y = d + zr
-    cf = _real_cf(model, tau)
-    scale = _pricing_scales(model, tau)
-    freq = abs(y)
-    period = 2 * np.pi / freq if freq > 0 else np.inf
-    max_width = min(4.0 * scale, period / 2.5)
-    x_end = find_decay_point(lambda th: float(cf(np.array([th]))[0]),
-                             quad.tolerance * 1e-3, scale, quad.theta_cutoff)
-    edges = panel_edges(x_end, min(scale / 8.0, max_width), quad.panel_growth, max_width)
-
-    if s in (0, 0.0):
-        def integrand(ths):
-            return np.sin(ths * y) / ths * cf(ths)
-
-        val, err = integrate_panels(integrand, edges, quad.nodes_per_panel)
-        return complex(0.5 + val.real / np.pi), err / np.pi
-
-    def integrand(ths):
-        return cf(ths) * (np.cos(ths * y) - ths * np.sin(ths * y)) / (1.0 + ths * ths)
-
-    val, err = integrate_panels(integrand, edges, quad.nodes_per_panel)
-    t_val = np.exp(-y) / np.pi * val.real
-    return complex(1.0 - np.exp(zr) * t_val), np.exp(zr - y) * err / np.pi
+    (value, err, _), = _direct_pass(model, (s,), d, z.real, tau, quad)
+    return value, err
 
 
 def n_factor(model: MarketModel, s: float, d: float, z: complex, tau: float,
@@ -326,11 +350,11 @@ def n_factor(model: MarketModel, s: float, d: float, z: complex, tau: float,
 # --------------------------------------------------------------------------
 
 def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
-                          quad: QuadratureConfig) -> tuple[complex, float]:
-    """N-factor against the effective density of a non-even Hamiltonian symbol.
+                          quad: QuadratureConfig, wide_target: float | None = None):
+    """(value, error, wide value) of the N-factor of a non-even Hamiltonian symbol.
 
-    Uses the same contour-shifted structure with the characteristic factor
-    G(w) = exp(-tau V(-w)) and no separate shift (the drift lives inside V).
+    The appendix pass with the characteristic factor G(w) = exp(-tau V(-w))
+    and no separate shift (the drift lives inside V).
     """
     def g_fn(ws):
         return np.exp(-tau * _gamma_ratio_symbol(model, -np.atleast_1d(ws)))
@@ -341,21 +365,10 @@ def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
     def envelope(th):
         return float(np.abs(g_fn(np.array([th + 1j * s])))[0])
 
-    x_end = find_decay_point(envelope, quad.tolerance * 1e-3, scale, quad.theta_cutoff)
-    freq = abs(d)
-    period = 2 * np.pi / freq if freq > 0 else np.inf
-    max_width = min(4.0 * scale, period / 2.5)
-    edges = panel_edges(x_end, min(scale / 8.0, max_width), quad.panel_growth, max_width)
-
-    def integrand(ths):
-        g_plus = g_fn(ths + 1j * s)
-        g_minus = g_fn(-ths + 1j * s)
-        return (np.sin(ths * d) / ths * (g_plus + g_minus)
-                + 1j * np.cos(ths * d) / ths * (g_plus - g_minus))
-
-    val, err = integrate_panels(integrand, edges, quad.nodes_per_panel)
+    val, err, wide = _theta_integral(lambda ths: (g_fn(ths + 1j * s), g_fn(-ths + 1j * s)),
+                                     d, 0.0, scale, envelope, quad, wide_target)
     first = complex(g_fn(np.array([1j * s]))[0])
-    return 0.5 * (first + val / np.pi), err / np.pi
+    return 0.5 * (first + val / np.pi), err / np.pi, 0.5 * (first + wide / np.pi)
 
 
 # --------------------------------------------------------------------------
@@ -373,9 +386,15 @@ def price_option(model: MarketModel, contract: OptionContract, spot: float,
     inconsistency diagnostic.  The put form is fixed by put-call parity
     (the sign-flipped regular payoff transform plus the analytic delta
     terms), so call - put = spot - K e^{-r tau} holds exactly.
+
+    `quadrature_error` is the larger of the node-halving error of the two
+    factors up to their truncation cutoff (weighted as in the price) and the
+    change in the raw price when the cutoff's envelope target drops two
+    decades.  Both come from one pass per factor: the deeper cutoff only
+    adds the panels beyond the first.
     """
-    if spot <= 0:
-        raise DomainError("spot must be positive")
+    if not (np.isfinite(spot) and spot > 0):
+        raise DomainError("spot must be positive and finite")
     tau = contract.maturity - t
     if not 0 <= t < contract.maturity:
         raise DomainError("pricing requires 0 <= t < maturity")
@@ -383,24 +402,22 @@ def price_option(model: MarketModel, contract: OptionContract, spot: float,
     mode = model.logcf.continuation
     d = -np.log(contract.strike / spot) + model.rate * tau
     disc = np.exp(-model.rate * tau)
+    # cutoff diagnostic: push the truncation target down two decades
+    wide_target = max(quad.tolerance * 1e-2, 1e-15) * 1e-3
 
-    def factors(q):
-        if mode is ContinuationMode.GAMMA_RATIO:
-            f1 = _n_factor_hamiltonian(model, 1.0, d, tau, q)
-            f2 = _n_factor_hamiltonian(model, 0.0, d, tau, q)
-            return f1, f2, 0.0 + 0.0j
-        shift = log_cf_imag(model, 1.0) * tau
-        return (n_factor(model, 1.0, d, shift, tau, q),
-                n_factor(model, 0.0, d, shift, tau, q), shift)
-
-    (n1, e1), (n2, e2), z = factors(quad)
-    # cutoff-doubling diagnostic: push the truncation target down two decades
-    # and difference the raw prices
-    wide = QuadratureConfig(theta_cutoff=quad.theta_cutoff,
-                            nodes_per_panel=quad.nodes_per_panel,
-                            panel_growth=quad.panel_growth,
-                            tolerance=max(quad.tolerance * 1e-2, 1e-15))
-    (n1_w, _), (n2_w, _), _ = factors(wide)
+    if mode is ContinuationMode.GAMMA_RATIO:
+        z = 0.0 + 0.0j
+        f1 = _n_factor_hamiltonian(model, 1.0, d, tau, quad, wide_target)
+        f2 = _n_factor_hamiltonian(model, 0.0, d, tau, quad, wide_target)
+    else:
+        z = log_cf_imag(model, 1.0) * tau
+        if abs(complex(z).imag) < 1e-13:
+            f1, f2 = _direct_pass(model, (1.0, 0.0), d, complex(z).real, tau, quad,
+                                  wide_target)
+        else:
+            f1 = _appendix_pass(model, 1.0, d, z, tau, quad, wide_target)
+            f2 = _appendix_pass(model, 0.0, d, z, tau, quad, wide_target)
+    (n1, e1, n1_w), (n2, e2, n2_w) = f1, f2
 
     def assemble(f1, f2):
         call = spot * f1 - contract.strike * disc * f2

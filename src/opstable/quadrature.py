@@ -69,28 +69,31 @@ def panel_edges(x_end: float, first_width: float, growth: float,
     return np.asarray(edges)
 
 
-def integrate_panels(f, edges: np.ndarray, nodes: int) -> tuple[complex, float]:
+def integrate_panels(f, edges: np.ndarray, nodes: int):
     """Integrate a vectorized integrand over the given panels.
 
     Returns (value, error_estimate) where the estimate is the node-halving
-    difference summed over panels.
+    difference summed over panels.  An integrand that returns a leading
+    kernel axis, shape (m, n) for n points, integrates m kernels on the same
+    nodes; value and estimate are then length-m arrays.
     """
     lo = edges[:-1]
     width = np.diff(edges)
     xs_f, ws_f = _gl_rule(nodes)
     xs_h, ws_h = _gl_rule(max(2, nodes // 2))
 
-    pts_f = (lo[:, None] + width[:, None] * xs_f[None, :]).ravel()
-    vals_f = np.asarray(f(pts_f)).reshape(len(lo), len(xs_f))
-    panel_f = (vals_f * ws_f[None, :]).sum(axis=1) * width
+    vals_f = np.asarray(f((lo[:, None] + width[:, None] * xs_f).ravel()))
+    lead = vals_f.shape[:-1]
+    panel_f = (vals_f.reshape(*lead, len(lo), len(xs_f)) * ws_f).sum(axis=-1) * width
 
-    pts_h = (lo[:, None] + width[:, None] * xs_h[None, :]).ravel()
-    vals_h = np.asarray(f(pts_h)).reshape(len(lo), len(xs_h))
-    panel_h = (vals_h * ws_h[None, :]).sum(axis=1) * width
+    vals_h = np.asarray(f((lo[:, None] + width[:, None] * xs_h).ravel()))
+    panel_h = (vals_h.reshape(*lead, len(lo), len(xs_h)) * ws_h).sum(axis=-1) * width
 
-    value = panel_f.sum()
-    err = float(np.abs(panel_f - panel_h).sum())
-    return complex(value), err
+    value = panel_f.sum(axis=-1)
+    err = np.abs(panel_f - panel_h).sum(axis=-1)
+    if lead:
+        return value, err
+    return complex(value), float(err)
 
 
 def find_decay_point(envelope, target: float, hint: float, cap: float) -> float:
@@ -117,6 +120,13 @@ def find_decay_point(envelope, target: float, hint: float, cap: float) -> float:
     return x
 
 
+def _panel_widths(decay_scale: float, osc_freq: float) -> tuple[float, float]:
+    """(first, max) panel width: a fraction of the decay scale, capped by the period."""
+    period = 2.0 * np.pi / osc_freq if osc_freq > 0 else np.inf
+    max_width = min(4.0 * decay_scale, period / 2.5)
+    return min(decay_scale / 8.0, max_width), max_width
+
+
 def half_line_oscillatory(f, decay_scale: float, osc_freq: float,
                           cfg: QuadratureConfig, envelope=None,
                           env_target: float | None = None) -> tuple[complex, float]:
@@ -125,18 +135,45 @@ def half_line_oscillatory(f, decay_scale: float, osc_freq: float,
     `envelope(x)` bounds |f| for the truncation search; the tail is cut where
     it falls below `env_target` (default tolerance * 1e-3).
     """
-    period = 2.0 * np.pi / osc_freq if osc_freq > 0 else np.inf
-    max_width = min(4.0 * decay_scale, period / 2.5)
-    first_width = min(decay_scale / 8.0, max_width)
-
     if envelope is not None:
-        target = cfg.tolerance * 1e-3 if env_target is None else env_target
-        x_end = find_decay_point(envelope, target, decay_scale, cfg.theta_cutoff)
-    else:
-        x_end = min(64.0 * decay_scale, cfg.theta_cutoff)
-
+        value, err, _ = half_line_pass(f, decay_scale, osc_freq, cfg, envelope,
+                                       target=env_target)
+        return value, err
+    first_width, max_width = _panel_widths(decay_scale, osc_freq)
+    x_end = min(64.0 * decay_scale, cfg.theta_cutoff)
     edges = panel_edges(x_end, first_width, cfg.panel_growth, max_width)
     return integrate_panels(f, edges, cfg.nodes_per_panel)
+
+
+def half_line_pass(f, decay_scale: float, osc_freq: float, cfg: QuadratureConfig,
+                   envelope, target: float | None = None,
+                   wide_target: float | None = None):
+    """Truncated half-line integral plus its value at a deeper cutoff, in one pass.
+
+    The integral over [0, x_end], with x_end where `envelope` first drops
+    below `target` (default tolerance * 1e-3), carries the node-halving
+    error.  With `wide_target`, the doubling search goes on from x_end down
+    to that target, and the integral over [x_end, x_wide] is added to give
+    the wide value; the panels up to x_end are the same in both, so no node
+    is evaluated twice.  Returns (value, error, wide_value); the wide value
+    equals the value when no wide target is given or the cutoffs coincide.
+    Kernel-axis integrands (see `integrate_panels`) give arrays.
+    """
+    first_width, max_width = _panel_widths(decay_scale, osc_freq)
+    target = cfg.tolerance * 1e-3 if target is None else target
+    x_end = find_decay_point(envelope, target, decay_scale, cfg.theta_cutoff)
+    x_wide = x_end
+    if wide_target is not None:
+        x_wide = find_decay_point(envelope, wide_target, x_end, cfg.theta_cutoff)
+    edges = panel_edges(x_wide, first_width, cfg.panel_growth, max_width)
+    if x_wide == x_end:
+        value, err = integrate_panels(f, edges, cfg.nodes_per_panel)
+        return value, err, value
+    cut = int(np.searchsorted(edges, x_end))
+    value, err = integrate_panels(f, np.append(edges[:cut], x_end), cfg.nodes_per_panel)
+    tail_edges = edges[cut:] if edges[cut] == x_end else np.insert(edges[cut:], 0, x_end)
+    tail, _ = integrate_panels(f, tail_edges, cfg.nodes_per_panel)
+    return value, err, value + tail
 
 
 def periodic_average(f, n_nodes: int = 1024, doubling_tol: float = 1e-10):

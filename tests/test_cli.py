@@ -232,3 +232,29 @@ def test_numerical_error_exits_3(tmp_path, capsys):
     assert main(["price", str(path), "--spot", "100", "--strike", "100",
                  "--maturity", "1.0"]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_validate_failure_exits_1_for_numpy_bool(gauss_config_path, monkeypatch, capsys):
+    from opstable import cli
+
+    monkeypatch.setitem(cli._SUITES, "appendix",
+                        lambda model, quad, args: [("forced", 1.0, 0.0, np.False_)])
+    assert main(["validate", gauss_config_path, "--suite", "appendix"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["status"] == "fail"
+
+
+def test_nan_spot_exits_2_without_output(gauss_config_path, capsys):
+    assert main(["price", gauss_config_path, "--spot", "nan", "--strike", "100",
+                 "--maturity", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config/domain error" in captured.err
+
+
+def test_infinite_maturity_exits_2(stable_config_path, capsys):
+    assert main(["price", stable_config_path, "--spot", "100", "--strike", "100",
+                 "--maturity", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "maturity" in captured.err

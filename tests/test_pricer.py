@@ -9,6 +9,7 @@ from opstable import (
     OptionContract,
     OptionStyle,
     PoleError,
+    QuadratureConfig,
     UnsupportedRegimeError,
     black_scholes_price,
     hamiltonian,
@@ -22,6 +23,7 @@ from opstable import (
     price_option,
 )
 from opstable.pde_coeffs import e_coefficient_series
+from opstable.pricer import _n_factor_hamiltonian
 
 from conftest import make_1d_model, make_rotation_model
 
@@ -277,6 +279,17 @@ def test_gamma_ratio_price_is_real_and_sane():
     assert 0.0 < rep.price < 1.0
 
 
+@pytest.mark.parametrize("mu, tau", [(1.2, 0.5), (1.5, 0.25), (2.0, 0.02)])
+def test_gamma_ratio_price_finite_where_gamma_overflows(mu, tau):
+    # Gamma(ik + eta) and Gamma(ik + 1) overflow separately at large |k|;
+    # their ratio does not
+    m = make_1d_model(mu, sigma=0.15, mode=ContinuationMode.GAMMA_RATIO)
+    spot, strike = 100.0, 100.0
+    rep = price_option(m, OptionContract(OptionStyle.CALL, strike, tau), spot)
+    assert np.isfinite(rep.price)
+    assert max(spot - strike * np.exp(-m.rate * tau), 0.0) <= rep.price <= spot
+
+
 def test_unsupported_regime_raises():
     m = make_rotation_model()
     with pytest.raises(UnsupportedRegimeError):
@@ -289,6 +302,70 @@ def test_price_preconditions(stable_model_17):
         price_option(stable_model_17, c, -1.0)
     with pytest.raises(DomainError):
         price_option(stable_model_17, c, 1.0, t=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise_domain_error(stable_model_17, bad):
+    c = OptionContract(OptionStyle.CALL, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        price_option(stable_model_17, c, bad)
+    with pytest.raises(DomainError):
+        price_option(stable_model_17, c, 1.0, t=bad)
+    with pytest.raises(DomainError):
+        OptionContract(OptionStyle.CALL, bad, 0.5)
+    with pytest.raises(DomainError):
+        OptionContract(OptionStyle.CALL, 1.0, bad)
+
+
+# --- single pass per factor ----------------------------------------------------------
+
+def _two_pass_factors(model, d, tau, quad):
+    """(N1, e1), (N2, e2) through the public per-factor routes."""
+    if model.logcf.continuation is ContinuationMode.GAMMA_RATIO:
+        return (_n_factor_hamiltonian(model, 1.0, d, tau, quad)[:2],
+                _n_factor_hamiltonian(model, 0.0, d, tau, quad)[:2])
+    z = log_cf_imag(model, 1.0) * tau
+    return n_factor(model, 1.0, d, z, tau, quad), n_factor(model, 0.0, d, z, tau, quad)
+
+
+# real_part takes the direct route, principal_complex the appendix route
+# (the direct one at mu = 2, where the shift is real), gamma_ratio the
+# Hamiltonian route
+@pytest.mark.parametrize("mode, mu", [
+    (ContinuationMode.REAL_PART, 2.0),
+    (ContinuationMode.REAL_PART, 1.7),
+    (ContinuationMode.REAL_PART, 1.2),
+    (ContinuationMode.PRINCIPAL_COMPLEX, 2.0),
+    (ContinuationMode.PRINCIPAL_COMPLEX, 1.7),
+    (ContinuationMode.PRINCIPAL_COMPLEX, 1.2),
+    (ContinuationMode.GAMMA_RATIO, 2.0),
+    (ContinuationMode.GAMMA_RATIO, 1.7),
+])
+@pytest.mark.parametrize("style", [OptionStyle.CALL, OptionStyle.PUT])
+def test_single_pass_matches_two_pass(mode, mu, style):
+    model = make_1d_model(mu, mode=mode)
+    quad = QuadratureConfig()
+    spot, strike, tau = 1.0, 1.1, 0.5
+    rep = price_option(model, OptionContract(style, strike, tau), spot, quad=quad)
+
+    d = -np.log(strike / spot) + model.rate * tau
+    disc = np.exp(-model.rate * tau)
+    (n1, e1), (n2, e2) = _two_pass_factors(model, d, tau, quad)
+    assert rep.n1 == n1 and rep.n2 == n2
+
+    # the definition of the diagnostic: node-halving error, or the price
+    # change when a second pass cuts two decades deeper, whichever is larger
+    wide = QuadratureConfig(tolerance=quad.tolerance * 1e-2)
+    (n1_w, _), (n2_w, _) = _two_pass_factors(model, d, tau, wide)
+
+    def assemble(f1, f2):
+        if style is OptionStyle.PUT:
+            return strike * disc * (1.0 - f2) - spot * (1.0 - f1)
+        return spot * f1 - strike * disc * f2
+
+    old = max(spot * e1 + strike * disc * e2,
+              abs(assemble(n1, n2) - assemble(n1_w, n2_w)))
+    assert rep.quadrature_error == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
 # --- hedge and portfolio -------------------------------------------------------------
