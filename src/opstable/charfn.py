@@ -51,12 +51,19 @@ class ContinuationMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ConstantAngular:
-    """Isotropic angular function (any dimension)."""
+    """Isotropic angular function (any dimension).
+
+    Like every angular function, it takes one direction of shape (D,) and
+    returns a float, or a stack of n directions as the columns of a (D, n)
+    array and returns the (n,) values, equal to the column-by-column calls.
+    """
 
     value: float
 
-    def __call__(self, theta) -> float:
-        return self.value
+    def __call__(self, theta):
+        if np.ndim(theta) == 1:
+            return self.value
+        return np.full(np.shape(theta)[1], float(self.value))
 
 
 @dataclass(frozen=True)
@@ -64,14 +71,16 @@ class DirectionalPair:
     """One-dimensional angular data: the values at +1 and -1.
 
     Evenness forces the two to coincide; both are accepted for symmetry with
-    the config schema and validated equal.
+    the config schema and validated equal.  A (1, n) stack gives n copies.
     """
 
     phi_plus: float
     phi_minus: float
 
-    def __call__(self, theta) -> float:
-        return self.phi_plus
+    def __call__(self, theta):
+        if np.ndim(theta) == 1:
+            return self.phi_plus
+        return np.full(np.shape(theta)[1], float(self.phi_plus))
 
 
 @dataclass(frozen=True)
@@ -80,17 +89,19 @@ class SampledAngular:
 
     `values[i]` is the value at polar angle 2*pi*i/n.  Linear interpolation
     with periodic wraparound; the table length must be even so that evenness
-    (antipodal symmetry) can be checked sample-by-sample.
+    (antipodal symmetry) can be checked sample-by-sample.  A (2, n) stack
+    of directions is interpolated in one call.
     """
 
     values: np.ndarray = field(repr=False)
 
-    def __call__(self, theta) -> float:
+    def __call__(self, theta):
         vals = np.asarray(self.values, dtype=float)
         n = len(vals)
         eta = np.arctan2(theta[1], theta[0]) % (2 * np.pi)
         grid = np.arange(n + 1) * (2 * np.pi / n)
-        return float(np.interp(eta, grid, np.append(vals, vals[0])))
+        out = np.interp(eta, grid, np.append(vals, vals[0]))
+        return float(out) if np.ndim(theta) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -99,16 +110,23 @@ class EigenWeightAngular:
 
     phi(theta) = sum_j w_j |(O^dagger theta)_j|^(1/Theta_j).  This is the
     angular part of a product of independent stable components in the
-    eigenbasis, so terminal laws can be sampled exactly.
+    eigenbasis, so terminal laws can be sampled exactly.  A (D, n) stack is
+    projected onto the eigenbasis column by column in one numpy call.
     """
 
     weights: np.ndarray = field(repr=False)
     tail_indices: np.ndarray = field(repr=False)   # 1 / Theta_j per direction
     basis: np.ndarray = field(repr=False)
 
-    def __call__(self, theta) -> float:
-        proj = np.abs(self.basis.conj().T @ np.asarray(theta, dtype=complex))
-        return float(np.sum(self.weights * proj ** self.tail_indices))
+    def __call__(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        cols = theta.reshape(len(theta), -1)
+        # products summed in a fixed order rather than by a BLAS matrix
+        # product, whose rounding depends on the number of columns
+        proj = np.abs(np.add.reduce(self.basis.T.conj()[:, :, None] * cols, axis=1))
+        out = np.add.reduce(np.reshape(self.weights, (-1, 1))
+                            * proj ** np.reshape(self.tail_indices, (-1, 1)), axis=0)
+        return float(out[0]) if theta.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -139,6 +157,9 @@ class MarketModel:
         object.__setattr__(self, "sigma", sigma)
         if sigma.shape != (self.index.dimension,):
             raise ModelValidationError("sigma dimension does not match the stable index")
+        if not (np.all(np.isfinite(sigma)) and np.isfinite(self.alpha)
+                and np.isfinite(self.rate)):
+            raise ModelValidationError("alpha, rate and sigma must be finite")
         if np.linalg.norm(sigma) == 0.0:
             raise ModelValidationError("portfolio mix sigma must be nonzero")
         if self.rate < 0:

@@ -218,8 +218,8 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
     """
     if cfg.measure is not Measure.COMPENSATED:
         raise DomainError("risk-neutral pricing requires the compensated measure")
-    if spot <= 0:
-        raise DomainError("spot must be positive")
+    if not (np.isfinite(spot) and spot > 0):
+        raise DomainError("spot must be positive and finite")
     tau = contract.maturity - t
     if tau <= 0:
         raise DomainError("pricing requires t < maturity")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .charfn import MarketModel, char_fn
+from .charfn import MarketModel, _projection_cf_factory, char_fn
 from .errors import (
     DivergentIntegrandError,
     DomainError,
@@ -177,14 +177,15 @@ def power_marginal_cf(model: MarketModel, beta: float, k: float, t: float,
 
     params = KernelParams(beta)
     kk = k * model.sigma_norm ** beta
-    sigma_hat = model.sigma_hat
+    cf = _projection_cf_factory(model, t)
 
-    def nu1(lam: float) -> float:
-        return char_fn(model, sigma_hat * lam, t)
+    def nu1(lams: np.ndarray) -> np.ndarray:
+        # characteristic function of sigma-hat . L_t at |lambda|
+        return cf(np.abs(lams) / model.sigma_norm)
 
     # lambda range: where the unit-direction CF has decayed to ~1e-17
     lam_hi = 1.0
-    while nu1(lam_hi) > 1e-17:
+    while nu1(np.array([lam_hi]))[0] > 1e-17:
         lam_hi *= 2.0
         if lam_hi > 1e12:
             raise DivergentIntegrandError("unit-direction CF does not decay")
@@ -195,19 +196,21 @@ def power_marginal_cf(model: MarketModel, beta: float, k: float, t: float,
     # growth per unit |lambda| is |Im(phase)| since the exponent is -+ i lam phase t
     second = (params.rotation * params.kernel_phase if params.floor_is_even
               else np.conj(params.rotation) * params.kernel_phase)
+    # The estimate exp(worst) * 1e-16 * lam_hi is compared and printed from its
+    # logarithm, since it can exceed the float range (the guard then fires).
     s0 = max(abs(params.rotation.imag), abs(second.imag))
-    worst = -np.inf
-    for lam in np.linspace(lam_hi / 200, lam_hi, 200):
-        g = lam * s0
-        t_peak = (g / (beta * kk)) ** (1.0 / (beta - 1.0))
-        peak = g * t_peak - kk * t_peak ** beta
-        worst = max(worst, peak + np.log(max(nu1(lam), 1e-300)))
-    noise = np.exp(worst) * 1e-16 * lam_hi
-    if noise > 1e-8:
+    lams = np.linspace(lam_hi / 200, lam_hi, 200)
+    g = lams * s0
+    t_peak = (g / (beta * kk)) ** (1.0 / (beta - 1.0))
+    peak = g * t_peak - kk * t_peak ** beta
+    worst = np.max(peak + np.log(np.maximum(nu1(lams), 1e-300)))
+    log_noise = worst + np.log(1e-16 * lam_hi)
+    if log_noise > np.log(1e-8):
+        decades, frac = divmod(log_noise / np.log(10.0), 1.0)
         raise NonConvergenceError(
             f"kernel quadrature cannot reach tolerance at k={k}: "
-            f"residual estimate {noise:.2e} (wavenumber too small for the "
-            "rotated-ray representation)"
+            f"residual estimate {10.0 ** frac:.2f}e{int(decades):+03d} (wavenumber "
+            "too small for the rotated-ray representation)"
         )
     # kernel oscillation in lambda has frequency ~ typical t of the ray decay
     t_typ = (1.0 / kk) ** (1.0 / beta)
@@ -223,7 +226,7 @@ def power_marginal_cf(model: MarketModel, beta: float, k: float, t: float,
     for sign in (1.0, -1.0):
         pts = (lo[:, None] + widths[:, None] * xs[None, :]).ravel() * sign
         kern = _power_kernel_grid(params, kk, pts, nodes=quad.nodes_per_panel)
-        cf_vals = np.array([nu1(abs(p)) for p in pts])
+        cf_vals = nu1(pts)
         vals = (kern * cf_vals).reshape(len(lo), len(xs))
         total += np.einsum("pn,n,p->", vals, ws, widths)
     return complex(total)
@@ -321,19 +324,23 @@ def _support_factor(beta: float) -> complex:
     return np.cos(np.pi * beta / 2) * np.exp(1j * np.pi * beta / 2)
 
 
-def _phase_rotated_direction(model: MarketModel, xi: float) -> np.ndarray:
+def _phase_rotated_direction(model: MarketModel, xi) -> np.ndarray:
     """Real unit vector from phase-rotating the eigen-projections of sigma-hat.
 
     Eigencoordinate j picks up exp(-i xi sign(Im lambda_j)); conjugate pairs
     stay conjugate so the rotated vector is real.  Real eigen-directions are
-    left fixed.
+    left fixed.  A scalar xi gives a (D,) vector, an (n,) array of angles a
+    (D, n) stack with one direction per column.
     """
     index = model.index
     basis = index.eigenbasis
     sig_tilde = basis.conj().T @ model.sigma_hat.astype(complex)
     signs = np.sign([ev.imag for ev in index.eigenvalues])
-    rotated = basis @ (np.exp(-1j * xi * signs) * sig_tilde)
-    return rotated.real / np.linalg.norm(rotated.real)
+    xi = np.asarray(xi, dtype=float)
+    per_coord = (-1,) + (1,) * xi.ndim
+    rotated = basis @ (np.exp(-1j * xi * signs.reshape(per_coord))
+                       * sig_tilde.reshape(per_coord))
+    return rotated.real / np.linalg.norm(rotated.real, axis=0)
 
 
 def fractional_moment(model: MarketModel, beta: float, t: float) -> complex:
@@ -374,8 +381,8 @@ def fractional_moment(model: MarketModel, beta: float, t: float) -> complex:
         power = beta / rho
         sigma_hat = model.sigma_hat
 
-        def integrand(eta_angle):
-            c, s = np.cos(eta_angle), np.sin(eta_angle)
+        def integrand(eta_angles):
+            c, s = np.cos(eta_angles), np.sin(eta_angles)
             rotated = np.array([c * sigma_hat[0] - s * sigma_hat[1],
                                 s * sigma_hat[0] + c * sigma_hat[1]])
             return model.logcf.angular(rotated) ** power
@@ -399,17 +406,22 @@ def fractional_moment(model: MarketModel, beta: float, t: float) -> complex:
     in_j = np.abs(thetas - theta_l) < _INT_TOL
     power = beta * theta_l
 
-    def integrand(xi):
-        v = _phase_rotated_direction(model, xi)
-        phi_val = model.logcf.angular(v)
+    def integrand(xis):
+        phi_val = model.logcf.angular(_phase_rotated_direction(model, xis))
         if np.all(in_j):
             weight = 1.0
         else:
-            lhs = float(np.sum(weights[~in_j] * phi_val ** (2 * thetas[~in_j])))
+            lhs = np.sum(weights[~in_j, None] * phi_val ** (2 * thetas[~in_j, None]), axis=0)
             rhs = phi_val ** (2 * theta_l)
             gap = lhs - rhs
-            tol = _INT_TOL * max(1.0, abs(rhs))
-            weight = 0.5 if abs(gap) <= tol else (1.0 if gap < 0 else 0.0)
+            tol = _INT_TOL * np.maximum(1.0, np.abs(rhs))
+            weight = np.where(np.abs(gap) <= tol, 0.5, np.where(gap < 0, 1.0, 0.0))
+            if not np.any(weight):
+                raise UnsupportedRegimeError(
+                    "generic-regime moment: the dominance weight vanishes at every "
+                    "phase (sigma projects too strongly onto the faster "
+                    "eigen-directions), so the closed form does not apply"
+                )
         return phi_val ** power * weight
 
     avg = periodic_average(integrand)

@@ -10,6 +10,7 @@ from opstable import (
     MarketModel,
     StableIndex,
 )
+from opstable.errors import NonConvergenceError
 
 
 def make_1d_model(mu, phi=0.5, sigma=0.2, rate=0.05, alpha=0.03,
@@ -56,6 +57,21 @@ def make_spiral_index(theta=0.7, upsilon=0.35):
     v = np.array([1.0, 1.0j]) / np.sqrt(2)
     basis = np.column_stack([v, v.conj()])
     return StableIndex.generic([theta + 1j * upsilon, theta - 1j * upsilon], basis)
+
+
+def scalar_periodic_average(f, n_nodes=1024, doubling_tol=1e-10):
+    """Reference sphere average: one scalar call per node, on two separate grids."""
+    def avg(n):
+        xs = np.arange(n) * (2.0 * np.pi / n)
+        return np.mean([f(x) for x in xs], axis=0)
+
+    coarse = avg(n_nodes)
+    fine = avg(2 * n_nodes)
+    if abs(fine - coarse) > doubling_tol * max(1.0, abs(fine)):
+        raise NonConvergenceError(
+            f"periodic average moved by {abs(fine - coarse):.3e} under node doubling"
+        )
+    return fine
 
 
 @pytest.fixture

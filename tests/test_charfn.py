@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from opstable import (
+    ConstantAngular,
     ContinuationMode,
     DirectionalPair,
+    EigenWeightAngular,
     LogCharFn,
     MarketModel,
     ModelValidationError,
@@ -16,7 +18,12 @@ from opstable import (
     matrix_power,
 )
 
-from conftest import make_1d_model, make_generic_model, make_rotation_model
+from conftest import (
+    make_1d_model,
+    make_generic_model,
+    make_rotation_model,
+    make_spiral_index,
+)
 
 
 def test_phi_vanishes_at_origin(stable_model_17):
@@ -123,6 +130,18 @@ def test_zero_portfolio_mix_rejected():
                     logcf=LogCharFn(DirectionalPair(0.5, 0.5)))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", np.nan), ("alpha", np.inf), ("rate", np.nan), ("rate", np.inf),
+    ("sigma", [np.nan]), ("sigma", [-np.inf]),
+])
+def test_non_finite_model_inputs_rejected(field, value):
+    kwargs = dict(alpha=0.0, sigma=[0.2], rate=0.0)
+    kwargs[field] = value
+    with pytest.raises(ModelValidationError, match="finite"):
+        MarketModel(index=StableIndex.pure_scaling(1, 1.5),
+                    logcf=LogCharFn(DirectionalPair(0.5, 0.5)), **kwargs)
+
+
 def test_gamma_ratio_requires_1d_pure_scaling():
     with pytest.raises(ModelValidationError):
         MarketModel(alpha=0.0, sigma=[0.3, 0.2], rate=0.0,
@@ -201,3 +220,31 @@ def test_sampled_angular_evenness_enforced():
         MarketModel(alpha=0.0, sigma=[1.0, 0.5], rate=0.0,
                     index=StableIndex.pure_scaling(2, 0.8),
                     logcf=LogCharFn(SampledAngular(vals_bad)))
+
+
+# --- angular functions on a stack of directions -----------------------------
+
+def _spiral_angular():
+    idx = make_spiral_index()
+    return EigenWeightAngular(weights=np.array([0.5, 0.5]),
+                              tail_indices=np.array([1 / 0.7, 1 / 0.7]),
+                              basis=idx.eigenbasis)
+
+
+@pytest.mark.parametrize("angular, dimension", [
+    (ConstantAngular(0.6), 2),
+    (ConstantAngular(0.6), 3),
+    (DirectionalPair(0.5, 0.5), 1),
+    (SampledAngular(np.array([0.5, 0.6, 0.7, 0.6, 0.5, 0.6, 0.7, 0.6])), 2),
+    (make_generic_model().logcf.angular, 2),
+    (_spiral_angular(), 2),
+])
+def test_angular_stack_equals_column_calls(angular, dimension):
+    rng = np.random.RandomState(12)
+    stack = rng.standard_normal((dimension, 257))
+    stack /= np.linalg.norm(stack, axis=0)
+    got = angular(stack)
+    want = np.array([angular(stack[:, j]) for j in range(stack.shape[1])])
+    assert got.shape == (257,)
+    assert np.array_equal(got, want)
+    assert isinstance(angular(stack[:, 0]), float)

@@ -258,3 +258,26 @@ def test_infinite_maturity_exits_2(stable_config_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "maturity" in captured.err
+
+
+def test_moments_subcommand_rejects_vanishing_generic_weight(generic_config_path, capsys):
+    # the closed form would give exactly 0 for this sigma (see fractional_moment)
+    assert main(["moments", generic_config_path, "--beta", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dominance weight" in captured.err
+
+
+def test_validate_moments_skips_scaling_law_without_closed_form(generic_config_path, capsys):
+    assert main(["validate", generic_config_path, "--suite", "moments"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["status"] == "skip"
+    assert all(r["status"] == "pass" for r in rows[1:])
+
+
+def test_mc_nan_spot_exits_2_without_output(stable_config_path, capsys):
+    assert main(["mc", stable_config_path, "--spot", "nan", "--strike", "1",
+                 "--maturity", "0.25", "--paths", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spot" in captured.err

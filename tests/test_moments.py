@@ -1,12 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from opstable import (
     DomainError,
+    EigenWeightAngular,
     KernelParams,
+    LogCharFn,
+    MarketModel,
     MomentInfiniteError,
     NonConvergenceError,
+    Regime,
     SimConfig,
+    UnsupportedRegimeError,
     char_fn,
     fractional_moment,
     moment_prefactor,
@@ -15,9 +22,15 @@ from opstable import (
     power_marginal_cf_contour,
     simulate_log_price,
 )
-from opstable.moments import kernel_ray
+from opstable.moments import _phase_rotated_direction, _support_factor, kernel_ray
 
-from conftest import make_1d_model, make_generic_model, make_rotation_model
+from conftest import (
+    make_1d_model,
+    make_generic_model,
+    make_rotation_model,
+    make_spiral_index,
+    scalar_periodic_average,
+)
 
 
 # --- kernel ------------------------------------------------------------------
@@ -300,3 +313,93 @@ def test_generic_moment_existence_uses_dominant_theta():
     m = make_generic_model(thetas=(0.6, 0.8))
     with pytest.raises(MomentInfiniteError):
         fractional_moment(m, 1.3, 1.0)  # 1.3 * 0.8 >= 1
+
+
+# --- sphere averages: stacked calls against a scalar reference --------------
+
+def _scalar_reference_moment(model, beta, t):
+    """E[(sigma . L_t)^beta] with one scalar angular call per node."""
+    if model.index.regime is Regime.SCALING_ROTATION:
+        rho = model.index.scaling_exponent
+        sh = model.sigma_hat
+
+        def integrand(a):
+            c, s = np.cos(a), np.sin(a)
+            rotated = np.array([c * sh[0] - s * sh[1], s * sh[0] + c * sh[1]])
+            return model.logcf.angular(rotated) ** (beta / rho)
+
+        return (moment_prefactor(beta, rho) * (model.sigma_norm * t ** (1 / rho)) ** beta
+                * _support_factor(beta) * scalar_periodic_average(integrand))
+    sig_tilde = model.index.eigenbasis.conj().T @ model.sigma_hat.astype(complex)
+    weights = np.abs(sig_tilde) ** 2
+    thetas = np.array([ev.real for ev in model.index.eigenvalues])
+    theta_l = float(np.max(thetas[weights > 1e-24]))
+    fast = np.abs(thetas - theta_l) >= 1e-12
+
+    def integrand(xi):
+        phi_val = model.logcf.angular(_phase_rotated_direction(model, xi))
+        weight = 1.0
+        if np.any(fast):
+            lhs = float(np.sum(weights[fast] * phi_val ** (2 * thetas[fast])))
+            rhs = phi_val ** (2 * theta_l)
+            gap = lhs - rhs
+            weight = (0.5 if abs(gap) <= 1e-12 * max(1.0, abs(rhs))
+                      else (1.0 if gap < 0 else 0.0))
+        return phi_val ** (beta * theta_l) * weight
+
+    return (moment_prefactor(beta, 1 / theta_l) * (model.sigma_norm * t ** theta_l) ** beta
+            * _support_factor(beta) * scalar_periodic_average(integrand))
+
+
+def _spiral_model():
+    idx = make_spiral_index(theta=0.7, upsilon=0.35)
+    ang = EigenWeightAngular(weights=np.array([0.5, 0.5]),
+                             tail_indices=np.array([1 / 0.7, 1 / 0.7]),
+                             basis=idx.eigenbasis)
+    return MarketModel(alpha=0.0, sigma=[0.8, 0.3], rate=0.0, index=idx,
+                       logcf=LogCharFn(ang))
+
+
+def _aligned_generic_model():
+    direction = make_generic_model().index.eigenbasis.real[:, 1]
+    return make_generic_model(sigma=tuple(2.0 * direction))
+
+
+@pytest.mark.parametrize("factory, betas", [
+    (make_rotation_model, (0.3, 0.9, 1.5)),
+    (_spiral_model, (0.2, 0.9, 1.3)),
+    (_aligned_generic_model, (0.2, 0.7, 1.2)),
+])
+def test_sphere_average_moments_match_scalar_reference(factory, betas):
+    m = factory()
+    for beta in betas:
+        for t in (0.4, 1.0, 2.5):
+            got = fractional_moment(m, beta, t)
+            want = _scalar_reference_moment(m, beta, t)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_phase_rotated_direction_stack_matches_scalar_calls():
+    m = _spiral_model()
+    xis = np.linspace(0.0, 2 * np.pi, 33)
+    stack = _phase_rotated_direction(m, xis)
+    assert stack.shape == (2, 33)
+    for j, xi in enumerate(xis):
+        assert np.allclose(stack[:, j], _phase_rotated_direction(m, xi), rtol=0, atol=1e-15)
+
+
+def test_generic_moment_with_vanishing_dominance_weight_raises():
+    # sigma projects mostly onto the fast eigen-direction: the weight is 0 at
+    # every phase and the closed form would return exactly 0j
+    with pytest.raises(UnsupportedRegimeError, match="dominance weight"):
+        fractional_moment(make_generic_model(), 0.3, 1.0)
+
+
+@pytest.mark.parametrize("mu, beta, k", [(1.5, 2.5, 1e-3), (1.9, 2.0, 0.01), (1.9, 2.0, 1e-3)])
+def test_marginal_cf_guard_raises_without_overflow_warning(mu, beta, k):
+    m = make_1d_model(mu, phi=1.0, sigma=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonConvergenceError, match=r"residual estimate \d\.\d\de\+\d+"):
+            power_marginal_cf(m, beta, k, 1.0)
+    assert caught == []

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from opstable import NonConvergenceError, SampledAngular
 from opstable.quadrature import (
     QuadratureConfig,
     half_line_oscillatory,
     half_line_pass,
     integrate_panels,
     panel_edges,
+    periodic_average,
 )
+
+from conftest import scalar_periodic_average
 
 CFG = QuadratureConfig()
 
@@ -47,3 +51,29 @@ def test_half_line_pass_without_wide_target():
     value, err, wide = half_line_pass(damped, 1.0, 3.0, CFG, envelope)
     assert wide == value
     assert (value, err) == half_line_oscillatory(damped, 1.0, 3.0, CFG, envelope)
+
+
+def test_periodic_average_matches_two_grid_scalar_reference():
+    def smooth(x):
+        return np.exp(0.7 * np.cos(x)) * (1.2 + np.sin(3.0 * x))
+
+    assert periodic_average(smooth) == scalar_periodic_average(smooth)
+    assert periodic_average(smooth, n_nodes=64) == scalar_periodic_average(smooth, n_nodes=64)
+
+
+def test_periodic_average_rejects_a_kinked_table():
+    # an 8-entry table interpolates linearly, so the average converges only
+    # like h^2 and the doubling check must fire
+    table = SampledAngular(np.array([0.5, 0.6, 0.7, 0.6, 0.5, 0.6, 0.7, 0.6]))
+
+    def stacked(xs):
+        return table(np.array([np.cos(xs), np.sin(xs)])) ** 0.3
+
+    def scalar(x):
+        return table(np.array([np.cos(x), np.sin(x)])) ** 0.3
+
+    with pytest.raises(NonConvergenceError, match="node doubling") as new:
+        periodic_average(stacked)
+    with pytest.raises(NonConvergenceError) as ref:
+        scalar_periodic_average(scalar)
+    assert str(new.value) == str(ref.value)
