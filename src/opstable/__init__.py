@@ -34,12 +34,10 @@ from .moments import (
     moment_prefactor,
     power_kernel,
     power_marginal_cf,
-    power_marginal_cf_contour,
 )
 from .pde_coeffs import (
     CoeffTable,
     e_coefficient,
-    e_coefficient_series,
     hamiltonian_tail_integral,
     levy_density,
     s_coefficient,

@@ -60,69 +60,98 @@ def _complex_pairs(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
+_REQUIRED = object()
+
+
+def _field(spec: dict, key: str, convert=float, where: str = "config", default=_REQUIRED):
+    """spec[key] passed through `convert`; a missing or malformed value names the field."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ModelValidationError(f"{where}: missing field '{key}'")
+        return default
+    try:
+        return convert(spec[key])
+    except ModelValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ModelValidationError(
+            f"{where}: invalid value for field '{key}': {spec[key]!r} ({exc})"
+        ) from exc
+
+
+def _float_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
 def load_config(path: str) -> tuple[MarketModel, QuadratureConfig]:
-    """Parse and validate a model config file; every invariant is re-checked."""
+    """Parse and validate a model config file; every invariant is re-checked.
+
+    A missing field or a value of the wrong type raises ModelValidationError
+    naming the field.
+    """
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ModelValidationError("config root must be a JSON object")
     _reject_unknown(data, _MODEL_KEYS, "config")
 
-    try:
-        regime = Regime(data["regime"])
-    except (KeyError, ValueError) as exc:
-        raise ModelValidationError(f"invalid or missing regime: {exc}") from exc
-
+    regime = _field(data, "regime", Regime)
     if regime is Regime.PURE_SCALING:
-        index = StableIndex.pure_scaling(int(data["dimension"]), float(data["mu"]))
+        index = StableIndex.pure_scaling(_field(data, "dimension", int), _field(data, "mu"))
     elif regime is Regime.SCALING_ROTATION:
-        index = StableIndex.scaling_rotation(float(data["mu"]), float(data["rotation_rate"]))
+        index = StableIndex.scaling_rotation(_field(data, "mu"), _field(data, "rotation_rate"))
     else:
-        evs = [complex(re, im) for re, im in data["eigenvalues"]]
-        basis = _complex_pairs(data["eigenvectors"])
-        index = StableIndex.generic(evs, basis)
+        evs = _field(data, "eigenvalues",
+                     lambda rows: [complex(re, im) for re, im in rows])
+        index = StableIndex.generic(evs, _field(data, "eigenvectors", _complex_pairs))
 
     ang_spec = data.get("angular")
     if not isinstance(ang_spec, dict) or "kind" not in ang_spec:
         raise ModelValidationError("angular must be an object with a 'kind'")
     kind = ang_spec["kind"]
-    if kind not in _ANGULAR_KEYS:
-        raise ModelValidationError(f"unknown angular kind '{kind}'")
+    if not isinstance(kind, str) or kind not in _ANGULAR_KEYS:
+        raise ModelValidationError(f"unknown angular kind {kind!r}")
     _reject_unknown(ang_spec, _ANGULAR_KEYS[kind], "angular")
     if kind == "pair":
-        angular = DirectionalPair(float(ang_spec["phi_plus"]), float(ang_spec["phi_minus"]))
+        angular = DirectionalPair(_field(ang_spec, "phi_plus", where="angular"),
+                                  _field(ang_spec, "phi_minus", where="angular"))
     elif kind == "constant":
-        angular = ConstantAngular(float(ang_spec["value"]))
+        angular = ConstantAngular(_field(ang_spec, "value", where="angular"))
     elif kind == "samples":
-        angular = SampledAngular(np.asarray(ang_spec["values"], dtype=float))
+        angular = SampledAngular(_field(ang_spec, "values", _float_array, "angular"))
     else:
         if regime is not Regime.GENERIC:
             raise ModelValidationError("eigen_weights angular data needs the generic regime")
-        weights = np.asarray(ang_spec["weights"], dtype=float)
+        weights = _field(ang_spec, "weights", _float_array, "angular")
         thetas = np.array([ev.real for ev in index.eigenvalues])
         angular = EigenWeightAngular(weights=weights, tail_indices=1.0 / thetas,
                                      basis=index.eigenbasis)
 
     logcf = LogCharFn(
         angular=angular,
-        epsilon=float(data.get("epsilon", 0.0)),
-        continuation=ContinuationMode(data.get("continuation", "real_part")),
+        epsilon=_field(data, "epsilon", default=0.0),
+        continuation=_field(data, "continuation", ContinuationMode,
+                            default=ContinuationMode.REAL_PART),
     )
     model = MarketModel(
-        alpha=float(data["alpha"]),
-        sigma=np.asarray(data["sigma"], dtype=float),
-        rate=float(data["rate"]),
+        alpha=_field(data, "alpha"),
+        sigma=_field(data, "sigma", _float_array),
+        rate=_field(data, "rate"),
         index=index,
         logcf=logcf,
     )
 
     quad_spec = data.get("quadrature", {})
+    if not isinstance(quad_spec, dict):
+        raise ModelValidationError("quadrature must be a JSON object")
     _reject_unknown(quad_spec, _QUAD_KEYS, "quadrature")
+    d = DEFAULT_QUADRATURE
     quad = QuadratureConfig(
-        theta_cutoff=float(quad_spec.get("theta_cutoff", DEFAULT_QUADRATURE.theta_cutoff)),
-        nodes_per_panel=int(quad_spec.get("nodes_per_panel", DEFAULT_QUADRATURE.nodes_per_panel)),
-        panel_growth=float(quad_spec.get("panel_growth", DEFAULT_QUADRATURE.panel_growth)),
-        tolerance=float(quad_spec.get("tolerance", DEFAULT_QUADRATURE.tolerance)),
+        theta_cutoff=_field(quad_spec, "theta_cutoff", float, "quadrature", d.theta_cutoff),
+        nodes_per_panel=_field(quad_spec, "nodes_per_panel", int, "quadrature",
+                               d.nodes_per_panel),
+        panel_growth=_field(quad_spec, "panel_growth", float, "quadrature", d.panel_growth),
+        tolerance=_field(quad_spec, "tolerance", float, "quadrature", d.tolerance),
     )
     return model, quad
 
@@ -172,6 +201,15 @@ def dump_config(model: MarketModel, quad: QuadratureConfig) -> dict:
 # subcommands
 # --------------------------------------------------------------------------
 
+def _print_json(payload) -> None:
+    """Print a JSON report; a non-finite number in it is a numerical error."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"result is not finite: {exc}") from exc
+    print(text)
+
+
 def _report_dict(rep: pricer.PriceReport, extra: dict | None = None) -> dict:
     out = {
         "price": rep.price,
@@ -215,7 +253,7 @@ def _cmd_price(args) -> int:
                                                 "spot": args.spot, "style": style.value})
         else:
             payload = [_report_dict(rep, {"strike": k, "maturity": m}) for k, m, rep in rows]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["strike", "maturity", "price", "n1_re", "n1_im", "n2_re", "n2_im",
@@ -235,7 +273,7 @@ def _cmd_moments(args) -> int:
         out.update(value_re=val.real, value_im=val.imag, exists=True)
     except MomentInfiniteError as exc:
         out.update(value_re=None, value_im=None, exists=False, reason=str(exc))
-    print(json.dumps(out, indent=2))
+    _print_json(out)
     return 0
 
 
@@ -274,18 +312,18 @@ def _cmd_mc(args) -> int:
     contract = pricer.OptionContract(pricer.OptionStyle(args.style), args.strike, args.maturity)
     cfg = mc_oracle.SimConfig(n_paths=args.paths, master_seed=args.seed)
     res = mc_oracle.mc_price(model, contract, args.spot, args.time, cfg)
-    print(json.dumps({
+    _print_json({
         "price": res.price, "stderr": res.stderr, "n_paths": res.n_paths,
         "seed": res.seed, "measure": res.measure, "cap_impact": res.cap_impact,
         "stderr_unstable": res.stderr_unstable, "raw_price": res.raw_price,
         "estimator": res.estimator,
-    }, indent=2))
+    })
     return 0
 
 
 def _cmd_dump(args) -> int:
     model, quad = load_config(args.config)
-    print(json.dumps(dump_config(model, quad), indent=2))
+    _print_json(dump_config(model, quad))
     return 0
 
 
@@ -415,10 +453,12 @@ def _cmd_validate(args) -> int:
     for name in names:
         for check, measured, tol, ok in _SUITES[name](model, quad, args):
             status = "skip" if ok is None else ("pass" if ok else "fail")
-            rows.append({"suite": name, "check": check, "measured": float(measured),
+            # a non-finite measurement fails its check and prints as null
+            rows.append({"suite": name, "check": check,
+                         "measured": float(measured) if np.isfinite(measured) else None,
                          "tolerance": float(tol), "status": status})
             failed = failed or (ok is not None and not ok)
-    print(json.dumps(rows, indent=2))
+    _print_json(rows)
     return 1 if failed else 0
 
 

@@ -215,6 +215,9 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
     + spot - K e^{-r tau}.  That estimator has finite variance and targets
     the same compensated expectation; the raw capped mean is still reported
     as `raw_price`, with a stability flag for its standard error.
+
+    The cap and the compensator need the pure-scaling regime; other regimes
+    raise UnsupportedRegimeError.
     """
     if cfg.measure is not Measure.COMPENSATED:
         raise DomainError("risk-neutral pricing requires the compensated measure")
@@ -223,6 +226,14 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
     tau = contract.maturity - t
     if tau <= 0:
         raise DomainError("pricing requires t < maturity")
+    if model.index.regime is not Regime.PURE_SCALING:
+        raise UnsupportedRegimeError(
+            "Monte-Carlo pricing needs the pure-scaling regime: the tail cap "
+            "(_tail_quantile) and the compensator phi(-i sigma) (log_cf_imag) are "
+            "defined only for a projected law with one stable exponent "
+            f"(regime here: {model.index.regime.value}; simulate_log_price still "
+            "samples generic-regime terminal laws)"
+        )
 
     x = simulate_log_price(model, tau, cfg)
     cap = _tail_quantile(model, tau, _CAP_QUANTILE)

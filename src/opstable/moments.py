@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .charfn import MarketModel, _projection_cf_factory, char_fn
+from .charfn import MarketModel, SampledAngular, _projection_cf_factory, char_fn
 from .errors import (
     DivergentIntegrandError,
     DomainError,
@@ -23,9 +23,10 @@ from .errors import (
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
-    integrate_panels,
+    _gl_rule,
     panel_edges,
     periodic_average,
+    piecewise_average,
 )
 from .stable_index import Regime
 
@@ -57,39 +58,61 @@ class KernelParams:
     def floor_is_even(self) -> bool:
         return int(np.floor(self.beta)) % 2 == 0
 
+    @property
+    def second_ray(self) -> complex:
+        """Coefficient of the second ray: r m for even floor(beta), conj(r) m for odd."""
+        r = self.rotation if self.floor_is_even else np.conj(self.rotation)
+        return r * self.kernel_phase
 
-def _ray_integral(beta: float, k: float, coeff: complex, rate: complex,
-                  nodes: int = 32) -> complex:
-    """coeff * int_0^inf exp(-k t^beta) exp(rate * t) dt, absolutely convergent."""
-    growth = max(rate.real, 0.0)
+
+def _ray_integrals(beta: float, k: float, c: complex, lams: np.ndarray, osc: float,
+                   nodes: int) -> np.ndarray:
+    """int_0^inf exp(-k t^beta + c lam t) dt for every lam, on shared t-panels.
+
+    The panels are geometric up to the width cap min(4 scale, period / 2.5),
+    the period being 2 pi / osc, and every panel of that width (all but the
+    head and the truncated last one) is factored: with t = a_q + h y_j,
+    exp(c lam t - k t^beta) = E[lam, q] B[lam, j] W[q, j], where
+    E = exp(c lam a_q - k a_q^beta) <= exp(peak), B = exp(c lam h y_j)
+    <= exp(2 pi / 2.5) and W = exp(k a_q^beta - k t^beta) <= 1.  So a panel
+    costs n_lam + nodes exponentials, not n_lam * nodes, plus one small
+    matrix product; the head and last panels are evaluated directly.
+    """
+    growth = max(float((c * lams).real.max()), 0.0)
     # crossing point where k t^beta - growth t = 45 (exists for beta > 1)
-    def budget(t):
-        return k * t ** beta - growth * t - 45.0
-
     t_hi = max((45.0 / k) ** (1.0 / beta), 1.0)
     it = 0
-    while budget(t_hi) < 0:
+    while k * t_hi ** beta - growth * t_hi < 45.0:
         t_hi *= 2.0
         it += 1
         if it > 200:
             raise DivergentIntegrandError("kernel integrand does not decay (beta too close to 1)")
-    period = 2 * np.pi / abs(rate.imag) if rate.imag != 0 else np.inf
+    period = 2 * np.pi / osc if osc > 0 else np.inf
     scale = (1.0 / k) ** (1.0 / beta)
-    edges = panel_edges(t_hi, min(scale / 8, period / 3, t_hi / 4),
-                        1.5, min(4 * scale, period / 2.5))
-
-    def f(ts):
-        return np.exp(-k * ts ** beta + rate * ts)
-
-    val, _ = integrate_panels(f, edges, nodes)
-    return coeff * val
+    cap = min(4 * scale, period / 2.5)
+    edges = panel_edges(t_hi, min(scale / 8, period / 3, t_hi / 4), 1.5, cap)
+    xs, ws = _gl_rule(nodes)
+    lo = edges[:-1]
+    width = np.diff(edges)
+    rate = c * lams
+    # np.diff misses the cap in the last bit, so match it to a tolerance
+    body = np.abs(width - cap) <= 1e-12 * cap
+    a = lo[body]
+    t = a[:, None] + cap * xs
+    e = np.exp(np.outer(rate, a) - k * a ** beta)
+    b = np.exp(np.outer(rate, cap * xs))
+    w = ws * width[body, None] * np.exp(k * a[:, None] ** beta - k * t ** beta)
+    out = np.einsum("lq,lq->l", e, b @ w.T)
+    t = (lo[~body, None] + width[~body, None] * xs).ravel()
+    out += np.exp(np.outer(rate, t) - k * t ** beta) @ (width[~body, None] * ws).ravel()
+    return out
 
 
 def kernel_ray(params: KernelParams, k: float, a: complex) -> complex:
     """Single-ray factor I(a) = int_0^inf exp(-k t^beta + a t) dt."""
     if k <= 0:
         raise DomainError("the ray integral needs k > 0")
-    return _ray_integral(params.beta, k, 1.0 + 0j, a)
+    return complex(_ray_integrals(params.beta, k, a, np.ones(1), abs(a.imag), 32)[0])
 
 
 def power_kernel(params: KernelParams, k: float, lam: float) -> complex:
@@ -106,52 +129,20 @@ def power_kernel(params: KernelParams, k: float, lam: float) -> complex:
             raise DomainError("kernel at k = 0 is a delta pair at lambda = 0")
         return 0.0 + 0.0j
     r = params.rotation
-    m = params.kernel_phase
-    second = r * m if params.floor_is_even else np.conj(r) * m
-    term1 = _ray_integral(params.beta, k, r, -1j * lam * r)
-    term2 = _ray_integral(params.beta, k, second, 1j * lam * second)
+    second = params.second_ray
+    term1 = r * kernel_ray(params, k, -1j * lam * r)
+    term2 = second * kernel_ray(params, k, 1j * lam * second)
     return (term1 + term2) / (2 * np.pi)
 
 
 def _power_kernel_grid(params: KernelParams, k: float, lams: np.ndarray,
                        nodes: int = 32) -> np.ndarray:
-    """Vectorized kernel over a lambda grid (shared t-panels per ray)."""
-    beta = params.beta
+    """The kernel over a lambda grid, each ray on t-panels shared by the grid."""
     r = params.rotation
-    m = params.kernel_phase
-    second = r * m if params.floor_is_even else np.conj(r) * m
-    out = np.zeros(len(lams), dtype=complex)
-    lam_max = float(np.max(np.abs(lams))) if len(lams) else 0.0
-    for coeff, direction in ((r, -1j * r), (second, 1j * second)):
-        growth = max((direction * lams[:, None]).real.max() if len(lams) else 0.0, 0.0)
-
-        def budget(t):
-            return k * t ** beta - growth * t - 45.0
-
-        t_hi = max((45.0 / k) ** (1.0 / beta), 1.0)
-        it = 0
-        while budget(t_hi) < 0:
-            t_hi *= 2.0
-            it += 1
-            if it > 200:
-                raise DivergentIntegrandError("kernel integrand does not decay")
-        period = 2 * np.pi / (lam_max * 1.0) if lam_max > 0 else np.inf
-        scale = (1.0 / k) ** (1.0 / beta)
-        edges = panel_edges(t_hi, min(scale / 8, period / 3, t_hi / 4),
-                            1.5, min(4 * scale, period / 2.5))
-
-        def f(ts):
-            # (n_t, n_lam) panel evaluation collapsed over lambda at the end
-            return np.exp(-k * ts[:, None] ** beta + direction * np.outer(ts, lams))
-
-        lo = edges[:-1]
-        width = np.diff(edges)
-        xs, ws = np.polynomial.legendre.leggauss(nodes)
-        xs = 0.5 * (xs + 1.0)
-        ws = 0.5 * ws
-        pts = (lo[:, None] + width[:, None] * xs[None, :]).ravel()
-        vals = f(pts).reshape(len(lo), nodes, len(lams))
-        out += coeff * np.einsum("pnl,n,p->l", vals, ws, width)
+    second = params.second_ray
+    lam_max = float(np.max(np.abs(lams)))
+    out = (r * _ray_integrals(params.beta, k, -1j * r, lams, lam_max, nodes)
+           + second * _ray_integrals(params.beta, k, 1j * second, lams, lam_max, nodes))
     return out / (2 * np.pi)
 
 
@@ -194,11 +185,9 @@ def power_marginal_cf(model: MarketModel, beta: float, k: float, t: float,
     # exp(peak) intermediates; where the CF weight cannot absorb the float
     # noise of that peak the representation has numerically diverged.
     # growth per unit |lambda| is |Im(phase)| since the exponent is -+ i lam phase t
-    second = (params.rotation * params.kernel_phase if params.floor_is_even
-              else np.conj(params.rotation) * params.kernel_phase)
     # The estimate exp(worst) * 1e-16 * lam_hi is compared and printed from its
     # logarithm, since it can exceed the float range (the guard then fires).
-    s0 = max(abs(params.rotation.imag), abs(second.imag))
+    s0 = max(abs(params.rotation.imag), abs(params.second_ray.imag))
     lams = np.linspace(lam_hi / 200, lam_hi, 200)
     g = lams * s0
     t_peak = (g / (beta * kk)) ** (1.0 / (beta - 1.0))
@@ -216,89 +205,15 @@ def power_marginal_cf(model: MarketModel, beta: float, k: float, t: float,
     t_typ = (1.0 / kk) ** (1.0 / beta)
     width = min(2 * np.pi / t_typ / 3.0, lam_hi / 8.0)
     edges = panel_edges(lam_hi, width / 4, 1.4, width)
-    xs, ws = np.polynomial.legendre.leggauss(quad.nodes_per_panel)
-    xs = 0.5 * (xs + 1.0)
-    ws = 0.5 * ws
-
-    total = 0.0 + 0.0j
-    lo = edges[:-1]
+    xs, ws = _gl_rule(quad.nodes_per_panel)
     widths = np.diff(edges)
-    for sign in (1.0, -1.0):
-        pts = (lo[:, None] + widths[:, None] * xs[None, :]).ravel() * sign
-        kern = _power_kernel_grid(params, kk, pts, nodes=quad.nodes_per_panel)
-        cf_vals = nu1(pts)
-        vals = (kern * cf_vals).reshape(len(lo), len(xs))
-        total += np.einsum("pn,n,p->", vals, ws, widths)
-    return complex(total)
-
-
-def _damped_dirichlet(amp: complex, eta: float) -> complex:
-    """int_0^inf sin(xi)/xi * exp(-amp xi^eta) dxi for Re(amp) > 0."""
-    if amp.real <= 0:
-        raise DivergentIntegrandError("damped Dirichlet integral requires Re(amp) > 0")
-    xi_hi = max((45.0 / amp.real) ** (1.0 / eta), 8.0)
-    edges = panel_edges(xi_hi, 0.25, 1.5, 2 * np.pi / 2.5)
-
-    def f(xs):
-        return np.sinc(xs / np.pi) * np.exp(-amp * xs ** eta)
-
-    val, _ = integrate_panels(f, edges, 24)
-    return val
-
-
-def power_marginal_cf_contour(model: MarketModel, beta: float, k: float, t: float,
-                              u_max: float = 400.0) -> complex:
-    """Cross-check contour representation of the beta-marginal (even floor only).
-
-    Integrates exp(-z) over the two outgoing rays [0, r^-beta inf) and
-    [0, (-1)^beta r^-beta inf) against a damped Dirichlet inner integral.
-    The constant large-u asymptote of the inner integral is split off and
-    Abel-summed; the oscillatory remainder gets a one-term integration-by-
-    parts tail correction.  Slow; exists as a cross-check of
-    `power_marginal_cf`, not as a production route.  Ray orientation follows
-    the outgoing-ray reading of the integration line.
-    """
-    params = KernelParams(beta)
-    if not params.floor_is_even:
-        raise DomainError("the contour representation applies to even floor(beta) only")
-    if model.index.regime is not Regime.PURE_SCALING:
-        raise UnsupportedRegimeError("contour cross-check is implemented for pure scaling")
-    if k <= 0:
-        raise DomainError("contour representation needs k > 0")
-
-    r = params.rotation
-    eta = model.index.scaling_exponent
-    sig = model.sigma_norm
-    phi_dir = float(model.logcf.angular(model.sigma_hat))
-    g_inf = np.pi / 2
-
-    def ray_value(ray_angle: float) -> complex:
-        # unreduced ray angle: the branch of (1/z)^(1/beta) is continued along
-        # the contour deformation, so the angle is NOT reduced mod 2*pi
-        direction = np.exp(1j * ray_angle)
-        # phase of the inner argument (k/z)^(1/beta) / r on this ray; |phase| = 1
-        phase = np.exp(-1j * ray_angle / beta) / r
-        q = np.power(phase * phase, eta / 2)
-
-        def g_minus_asymptote(us):
-            out = np.empty(len(us), dtype=complex)
-            for i, u in enumerate(us):
-                amp = t * phi_dir * (sig * (k / u) ** (1.0 / beta)) ** eta * q
-                out[i] = _damped_dirichlet(amp, eta) - g_inf
-            return out
-
-        def f(us):
-            return np.exp(-direction * us) * g_minus_asymptote(us)
-
-        edges = panel_edges(u_max, 0.5, 1.25, 2 * np.pi / 2.5)
-        osc, _ = integrate_panels(f, edges, 20)
-        # one integration-by-parts term for the algebraic tail of g - g_inf
-        tail = np.exp(-direction * u_max) * g_minus_asymptote(np.array([u_max]))[0] / direction
-        # Abel value of the asymptote: int_0^inf exp(-direction u) du = 1/direction
-        return direction * (osc + tail + g_inf / direction)
-
-    # ray angles: r^{-beta} = exp(-i pi/2) and (-1)^beta r^{-beta} = exp(i pi (beta - 1/2))
-    return complex((ray_value(-np.pi / 2) + ray_value(np.pi * (beta - 0.5))) / np.pi)
+    pts = (edges[:-1, None] + widths[:, None] * xs).ravel()
+    # nu1 is even: K(k, lam) + K(k, -lam) from one kernel call on the stacked
+    # nodes, weighted by nu1 once
+    kern = _power_kernel_grid(params, kk, np.concatenate([pts, -pts]),
+                              nodes=quad.nodes_per_panel)
+    vals = (kern[:len(pts)] + kern[len(pts):]) * nu1(pts)
+    return complex(np.einsum("pn,n,p->", vals.reshape(len(widths), len(xs)), ws, widths))
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +302,15 @@ def fractional_moment(model: MarketModel, beta: float, t: float) -> complex:
                                 s * sigma_hat[0] + c * sigma_hat[1]])
             return model.logcf.angular(rotated) ** power
 
-        avg = periodic_average(integrand)
+        angular = model.logcf.angular
+        if isinstance(angular, SampledAngular):
+            # the table is linear between its samples, so the integrand has a
+            # kink wherever the rotated direction crosses a sample angle
+            n = len(angular.values)
+            kinks = 2 * np.pi * np.arange(n) / n - np.arctan2(sigma_hat[1], sigma_hat[0])
+            avg = piecewise_average(integrand, kinks)
+        else:
+            avg = periodic_average(integrand)
         return (moment_prefactor(beta, rho)
                 * (sig * t ** (1.0 / rho)) ** beta
                 * support * avg)

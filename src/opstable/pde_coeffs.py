@@ -190,21 +190,6 @@ def e_coefficient_divergence_rate(model: MarketModel, n: int) -> float:
     return float(n - eta)
 
 
-def e_coefficient_series(model: MarketModel, n: int, k_max: int = 16) -> complex:
-    """Resummation E_n = sum_{k >= max(n,2)} a_n^(k)/k! S_k from the binomial sums.
-
-    Exact (two terms) in the Gaussian case where S_k vanishes for k >= 3;
-    for heavy tails the series is formal and this helper is a cross-check,
-    not a production path.
-    """
-    if n < 1:
-        raise DomainError("coefficients are defined for n >= 1")
-    total = 0.0 + 0.0j
-    for k in range(max(n, 2), k_max + 1):
-        total += stirling_first_kind(n, k) / math.factorial(k) * s_coefficient(model, k)
-    return total
-
-
 def hamiltonian_tail_integral(model: MarketModel, k: float,
                               cutoff: float = np.inf) -> complex:
     """The resummed integral int phi_tilde(xi) [(-1+e^-xi)(ik) + e^{ik xi} - 1] dxi.

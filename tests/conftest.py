@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,11 @@ from opstable import (
     MarketModel,
     StableIndex,
 )
-from opstable.errors import NonConvergenceError
+from opstable.charfn import _projection_cf_factory
+from opstable.errors import DomainError, NonConvergenceError
+from opstable.moments import KernelParams
+from opstable.pde_coeffs import s_coefficient, stirling_first_kind
+from opstable.quadrature import panel_edges
 
 
 def make_1d_model(mu, phi=0.5, sigma=0.2, rate=0.05, alpha=0.03,
@@ -72,6 +78,83 @@ def scalar_periodic_average(f, n_nodes=1024, doubling_tol=1e-10):
             f"periodic average moved by {abs(fine - coarse):.3e} under node doubling"
         )
     return fine
+
+
+def dense_power_kernel_grid(params, k, lams, nodes=32):
+    """Reference kernel over a lambda grid: one dense exp per (t-node, lambda) pair."""
+    beta = params.beta
+    r = params.rotation
+    m = params.kernel_phase
+    second = r * m if params.floor_is_even else np.conj(r) * m
+    out = np.zeros(len(lams), dtype=complex)
+    lam_max = float(np.max(np.abs(lams)))
+    for coeff, direction in ((r, -1j * r), (second, 1j * second)):
+        growth = max((direction * lams[:, None]).real.max(), 0.0)
+        t_hi = max((45.0 / k) ** (1.0 / beta), 1.0)
+        while k * t_hi ** beta - growth * t_hi - 45.0 < 0:
+            t_hi *= 2.0
+        period = 2 * np.pi / lam_max if lam_max > 0 else np.inf
+        scale = (1.0 / k) ** (1.0 / beta)
+        edges = panel_edges(t_hi, min(scale / 8, period / 3, t_hi / 4),
+                            1.5, min(4 * scale, period / 2.5))
+        lo = edges[:-1]
+        width = np.diff(edges)
+        xs, ws = np.polynomial.legendre.leggauss(nodes)
+        xs = 0.5 * (xs + 1.0)
+        ws = 0.5 * ws
+        pts = (lo[:, None] + width[:, None] * xs[None, :]).ravel()
+        vals = np.exp(-k * pts[:, None] ** beta + direction * np.outer(pts, lams))
+        out += coeff * np.einsum("pnl,n,p->l", vals.reshape(len(lo), nodes, len(lams)),
+                                 ws, width)
+    return out / (2 * np.pi)
+
+
+def dense_power_marginal_cf(model, beta, k, t, nodes=24):
+    """Reference beta-marginal: the dense kernel, one pass per sign of lambda.
+
+    Same lambda grid as `power_marginal_cf`; no conditioning guard, so call it
+    only where that guard admits k.
+    """
+    params = KernelParams(beta)
+    kk = k * model.sigma_norm ** beta
+    cf = _projection_cf_factory(model, t)
+
+    def nu1(lams):
+        return cf(np.abs(lams) / model.sigma_norm)
+
+    lam_hi = 1.0
+    while nu1(np.array([lam_hi]))[0] > 1e-17:
+        lam_hi *= 2.0
+    t_typ = (1.0 / kk) ** (1.0 / beta)
+    width = min(2 * np.pi / t_typ / 3.0, lam_hi / 8.0)
+    edges = panel_edges(lam_hi, width / 4, 1.4, width)
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs = 0.5 * (xs + 1.0)
+    ws = 0.5 * ws
+    total = 0.0 + 0.0j
+    lo = edges[:-1]
+    widths = np.diff(edges)
+    for sign in (1.0, -1.0):
+        pts = (lo[:, None] + widths[:, None] * xs[None, :]).ravel() * sign
+        kern = dense_power_kernel_grid(params, kk, pts, nodes=nodes)
+        vals = (kern * nu1(pts)).reshape(len(lo), len(xs))
+        total += np.einsum("pn,n,p->", vals, ws, widths)
+    return complex(total)
+
+
+def e_coefficient_series(model, n, k_max=16):
+    """Resummation E_n = sum_{k >= max(n,2)} a_n^(k)/k! S_k from the binomial sums.
+
+    Exact (two terms) in the Gaussian case where S_k vanishes for k >= 3;
+    for heavy tails the series is formal, so this is a cross-check of
+    `e_coefficient` and the Hamiltonian, not a production path.
+    """
+    if n < 1:
+        raise DomainError("coefficients are defined for n >= 1")
+    total = 0.0 + 0.0j
+    for k in range(max(n, 2), k_max + 1):
+        total += stirling_first_kind(n, k) / math.factorial(k) * s_coefficient(model, k)
+    return total
 
 
 @pytest.fixture

@@ -281,3 +281,72 @@ def test_mc_nan_spot_exits_2_without_output(stable_config_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "spot" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [("mu", "abc"), ("alpha", None), ("sigma", ["x"]),
+                                          ("continuation", "sideways")])
+def test_malformed_config_field_exits_2_naming_it(tmp_path, capsys, field, value):
+    cfg = dict(GAUSS_CONFIG, **{field: value})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["price", str(path), "--spot", "100", "--strike", "100",
+                 "--maturity", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{field}'" in captured.err
+
+
+@pytest.mark.parametrize("field", ["alpha", "mu", "sigma"])
+def test_missing_config_field_raises_validation_error(tmp_path, field):
+    from opstable import ModelValidationError
+
+    cfg = {k: v for k, v in GAUSS_CONFIG.items() if k != field}
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ModelValidationError, match=f"missing field '{field}'"):
+        load_config(str(path))
+
+
+def test_non_finite_json_result_exits_3_without_output(gauss_config_path, monkeypatch, capsys):
+    from opstable import cli
+
+    monkeypatch.setattr(cli.moments, "fractional_moment",
+                        lambda model, beta, t: complex(float("nan"), 0.0))
+    assert main(["moments", gauss_config_path, "--beta", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_validate_prints_a_non_finite_measurement_as_null(gauss_config_path, monkeypatch,
+                                                          capsys):
+    from opstable import cli
+
+    monkeypatch.setitem(cli._SUITES, "appendix",
+                        lambda model, quad, args: [("forced", float("nan"), 0.0, False)])
+    assert main(["validate", gauss_config_path, "--suite", "appendix"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["measured"] is None
+    assert rows[0]["status"] == "fail"
+
+
+def test_mc_generic_config_names_the_pure_scaling_requirement(generic_config_path, capsys):
+    assert main(["mc", generic_config_path, "--spot", "1", "--strike", "1",
+                 "--maturity", "0.25", "--paths", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tail cap" in captured.err and "compensator" in captured.err
+    assert "analytic continuation" not in captured.err
+
+
+def test_moments_on_an_8_entry_rotation_table(tmp_path, capsys):
+    cfg = {"regime": "scaling_rotation", "dimension": 2, "mu": 0.8, "rotation_rate": 0.3,
+           "angular": {"kind": "samples",
+                       "values": [0.5, 0.6, 0.7, 0.6, 0.5, 0.6, 0.7, 0.6]},
+           "sigma": [0.5, 0.4], "alpha": 0.0, "rate": 0.02}
+    path = tmp_path / "rot8.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["moments", str(path), "--beta", "0.5", "--time", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exists"] is True
+    assert payload["value_re"] > 0

@@ -131,6 +131,18 @@ def test_rotation_regime_sampling_unsupported():
         simulate_log_price(m, 1.0, SimConfig(n_paths=10))
 
 
+def test_mc_price_generic_regime_names_the_real_cause():
+    # the generic model samples fine; pricing stops at the pure-scaling tail
+    # cap and compensator, and says so
+    m = make_generic_model()
+    assert simulate_log_price(m, 0.25, SimConfig(n_paths=10)).shape == (10,)
+    c = OptionContract(OptionStyle.CALL, 1.0, 0.25)
+    with pytest.raises(UnsupportedRegimeError, match="tail cap") as exc:
+        mc_price(m, c, 1.0, 0.0, SimConfig(n_paths=10))
+    assert "compensator" in str(exc.value)
+    assert "analytic continuation" not in str(exc.value)
+
+
 def test_physical_measure_adds_drift(stable_model_17):
     cfg = SimConfig(n_paths=1000, master_seed=3, measure=Measure.PHYSICAL)
     cfg2 = SimConfig(n_paths=1000, master_seed=3, measure=Measure.COMPENSATED)

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opstable import (
+    DivergentIntegrandError,
     DomainError,
     EigenWeightAngular,
     KernelParams,
@@ -12,19 +15,28 @@ from opstable import (
     MomentInfiniteError,
     NonConvergenceError,
     Regime,
+    SampledAngular,
     SimConfig,
+    StableIndex,
     UnsupportedRegimeError,
     char_fn,
     fractional_moment,
     moment_prefactor,
     power_kernel,
     power_marginal_cf,
-    power_marginal_cf_contour,
     simulate_log_price,
 )
-from opstable.moments import _phase_rotated_direction, _support_factor, kernel_ray
+from opstable.moments import (
+    _phase_rotated_direction,
+    _power_kernel_grid,
+    _support_factor,
+    kernel_ray,
+)
+from opstable.quadrature import integrate_panels, panel_edges
 
 from conftest import (
+    dense_power_kernel_grid,
+    dense_power_marginal_cf,
     make_1d_model,
     make_generic_model,
     make_rotation_model,
@@ -163,6 +175,77 @@ def test_marginal_cf_small_wavenumber_raises_with_residual():
         power_marginal_cf(m, 2.0, 0.3, 0.8)
 
 
+# --- contour representation: an independent cross-check ---------------------
+
+def _damped_dirichlet(amp: complex, eta: float) -> complex:
+    """int_0^inf sin(xi)/xi * exp(-amp xi^eta) dxi for Re(amp) > 0."""
+    if amp.real <= 0:
+        raise DivergentIntegrandError("damped Dirichlet integral requires Re(amp) > 0")
+    xi_hi = max((45.0 / amp.real) ** (1.0 / eta), 8.0)
+    edges = panel_edges(xi_hi, 0.25, 1.5, 2 * np.pi / 2.5)
+
+    def f(xs):
+        return np.sinc(xs / np.pi) * np.exp(-amp * xs ** eta)
+
+    val, _ = integrate_panels(f, edges, 24)
+    return val
+
+
+def power_marginal_cf_contour(model: MarketModel, beta: float, k: float, t: float,
+                              u_max: float = 400.0) -> complex:
+    """Cross-check contour representation of the beta-marginal (even floor only).
+
+    Integrates exp(-z) over the two outgoing rays [0, r^-beta inf) and
+    [0, (-1)^beta r^-beta inf) against a damped Dirichlet inner integral.
+    The constant large-u asymptote of the inner integral is split off and
+    Abel-summed; the oscillatory remainder gets a one-term integration-by-
+    parts tail correction.  Slow; an independent cross-check of
+    `power_marginal_cf`, not a production route.  Ray orientation follows
+    the outgoing-ray reading of the integration line.
+    """
+    params = KernelParams(beta)
+    if not params.floor_is_even:
+        raise DomainError("the contour representation applies to even floor(beta) only")
+    if model.index.regime is not Regime.PURE_SCALING:
+        raise UnsupportedRegimeError("contour cross-check is implemented for pure scaling")
+    if k <= 0:
+        raise DomainError("contour representation needs k > 0")
+
+    r = params.rotation
+    eta = model.index.scaling_exponent
+    sig = model.sigma_norm
+    phi_dir = float(model.logcf.angular(model.sigma_hat))
+    g_inf = np.pi / 2
+
+    def ray_value(ray_angle: float) -> complex:
+        # unreduced ray angle: the branch of (1/z)^(1/beta) is continued along
+        # the contour deformation, so the angle is NOT reduced mod 2*pi
+        direction = np.exp(1j * ray_angle)
+        # phase of the inner argument (k/z)^(1/beta) / r on this ray; |phase| = 1
+        phase = np.exp(-1j * ray_angle / beta) / r
+        q = np.power(phase * phase, eta / 2)
+
+        def g_minus_asymptote(us):
+            out = np.empty(len(us), dtype=complex)
+            for i, u in enumerate(us):
+                amp = t * phi_dir * (sig * (k / u) ** (1.0 / beta)) ** eta * q
+                out[i] = _damped_dirichlet(amp, eta) - g_inf
+            return out
+
+        def f(us):
+            return np.exp(-direction * us) * g_minus_asymptote(us)
+
+        edges = panel_edges(u_max, 0.5, 1.25, 2 * np.pi / 2.5)
+        osc, _ = integrate_panels(f, edges, 20)
+        # one integration-by-parts term for the algebraic tail of g - g_inf
+        tail = np.exp(-direction * u_max) * g_minus_asymptote(np.array([u_max]))[0] / direction
+        # Abel value of the asymptote: int_0^inf exp(-direction u) du = 1/direction
+        return direction * (osc + tail + g_inf / direction)
+
+    # ray angles: r^{-beta} = exp(-i pi/2) and (-1)^beta r^{-beta} = exp(i pi (beta - 1/2))
+    return complex((ray_value(-np.pi / 2) + ray_value(np.pi * (beta - 0.5))) / np.pi)
+
+
 def test_contour_cross_check_even_floor():
     m = make_1d_model(1.5, phi=1.0, sigma=1.0, rate=0.0)
     for beta, k in ((2.0, 1.0), (2.5, 1.0)):
@@ -171,6 +254,99 @@ def test_contour_cross_check_even_floor():
         assert abs(a - b) <= 5e-5
     with pytest.raises(DomainError):
         power_marginal_cf_contour(m, 1.5, 1.0, 0.9)  # odd floor
+
+
+# --- factored t-panels against the dense reference ---------------------------
+
+# (D*mu, phi, sigma, t, beta, k): the seven benchmark points, odd floor(beta)
+# and D*mu = 1.2
+_MARGINAL_POINTS = [
+    (2.0, 0.5, 0.7, 0.8, 2.0, 2.0),
+    (1.9, 0.5, 0.7, 0.8, 2.25, 2.0),
+    (1.9, 0.5, 0.7, 0.8, 2.5, 1.0),
+    (1.7, 0.5, 0.7, 0.8, 2.25, 2.0),
+    (1.7, 0.5, 0.7, 0.8, 2.5, 1.0),
+    (1.5, 1.0, 1.0, 0.9, 2.0, 1.7),
+    (1.5, 1.0, 1.0, 0.9, 2.4, 0.8),
+    (2.0, 0.5, 0.7, 0.8, 1.5, 5.0),
+    (1.7, 0.5, 0.7, 0.8, 3.5, 2.0),
+    (1.5, 1.0, 1.0, 0.9, 3.5, 1.0),
+    (1.2, 1.0, 1.0, 0.9, 2.4, 30.0),
+]
+
+
+def _conditioned_lambda_grid(params, kk, log_peak=3.0, n=101):
+    """Symmetric lambda grid on which the exp(peak) intermediates stay below e^log_peak."""
+    beta = params.beta
+    s0 = max(abs(params.rotation.imag), abs(params.second_ray.imag))
+    # peak(g) = (1 - 1/beta) g (g / (beta kk))^(1/(beta-1)) at g = s0 |lambda|
+    g = (log_peak * beta / (beta - 1.0)
+         * (beta * kk) ** (1.0 / (beta - 1.0))) ** ((beta - 1.0) / beta)
+    return np.linspace(-g / s0, g / s0, n)
+
+
+@pytest.mark.parametrize("mu, phi, sigma, t, beta, k",
+                         [p for p in _MARGINAL_POINTS if p[4] != 1.5])
+def test_power_kernel_grid_matches_dense_reference(mu, phi, sigma, t, beta, k):
+    # compared where the exp(peak) intermediates stay below e^3, so that the
+    # rounding floor of both forms is ~1e-15 of the kernel's scale; beyond
+    # that the kernel is rounding noise in either form, which the CF weight
+    # and the guard handle.  Where the kernel itself nearly vanishes (1e-18
+    # at beta = 2.5) only the scale is a meaningful reference.
+    params = KernelParams(beta)
+    kk = k * sigma ** beta
+    lams = _conditioned_lambda_grid(params, kk)
+    got = _power_kernel_grid(params, kk, lams, nodes=24)
+    want = dense_power_kernel_grid(params, kk, lams, nodes=24)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mu, phi, sigma, t, beta, k",
+                         [p for p in _MARGINAL_POINTS if p[4] != 1.5])
+def test_marginal_cf_matches_dense_reference(mu, phi, sigma, t, beta, k):
+    m = make_1d_model(mu, phi=phi, sigma=sigma, rate=0.0)
+    got = power_marginal_cf(m, beta, k, t)
+    want = dense_power_marginal_cf(m, beta, k, t)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_marginal_cf_at_rounding_level_matches_dense_reference():
+    # beta = 1.5: the two rays cancel, so both forms give a kernel and a
+    # marginal CF of ~1e-16, itself at the rounding level; the 1e-13 bound is
+    # taken relative to |CF(0)| = 1
+    params = KernelParams(1.5)
+    kk = 5.0 * 0.7 ** 1.5
+    lams = _conditioned_lambda_grid(params, kk)
+    assert np.max(np.abs(_power_kernel_grid(params, kk, lams, nodes=24))) < 1e-14
+    assert np.max(np.abs(dense_power_kernel_grid(params, kk, lams, nodes=24))) < 1e-14
+    m = make_1d_model(2.0, phi=0.5, sigma=0.7, rate=0.0)
+    got = power_marginal_cf(m, 1.5, 5.0, 0.8)
+    want = dense_power_marginal_cf(m, 1.5, 5.0, 0.8)
+    assert abs(want) < 1e-15
+    assert abs(got - want) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.floats(0.3, 1.5), phi=st.floats(0.2, 1.0), t=st.floats(0.3, 2.0),
+       kv=st.floats(0.3, 5.0))
+def test_marginal_cf_gaussian_chi2_property(sigma, phi, t, kv):
+    # k v >= 0.3 keeps k where the conditioning guard admits it
+    m = make_1d_model(2.0, phi=phi, sigma=sigma, rate=0.0)
+    v = 2 * phi * sigma ** 2 * t
+    k = kv / v
+    got = power_marginal_cf(m, 2.0, k, t)
+    assert got == pytest.approx((1 - 2j * k * v) ** -0.5, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(1.5, 1.95), beta=st.floats(2.2, 2.8), phi=st.floats(0.3, 1.0),
+       sigma=st.floats(0.5, 1.2), t=st.floats(0.5, 1.5), q=st.floats(0.3, 4.0))
+def test_marginal_cf_heavy_tail_is_bounded(mu, beta, phi, sigma, t, q):
+    # even floor(beta): |exp(i k X^beta)| <= 1 for the signed power, so |CF| <= 1;
+    # k = q / scale^beta with q >= 0.3 stays where the guard admits it
+    m = make_1d_model(mu, phi=phi, sigma=sigma, rate=0.0)
+    k = q / (sigma * (phi * t) ** (1.0 / mu)) ** beta
+    assert abs(power_marginal_cf(m, beta, k, t)) <= 1 + 1e-10
 
 
 # --- prefactor -----------------------------------------------------------------
@@ -270,6 +446,37 @@ def test_rotation_moment_against_mc_of_sphere_average():
             * np.cos(np.pi * beta / 2) * np.exp(1j * np.pi * beta / 2)
             * 0.6 ** (beta / rho))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, 0.6, 0.7, 0.6, 0.5, 0.6, 0.7, 0.6],
+    list(0.5 + 0.2 * np.cos(2 * 2 * np.pi * np.arange(64) / 64)),
+])
+def test_rotation_moment_with_sampled_table_matches_adaptive_quadrature(values):
+    # a sampled table is linear between its samples: the sphere average is
+    # integrated piece by piece between the kinks, and must match scipy's
+    # adaptive quadrature told where the kinks are
+    from scipy.integrate import quad
+    m = MarketModel(alpha=0.0, sigma=[0.5, 0.4], rate=0.02,
+                    index=StableIndex.scaling_rotation(0.8, 0.3),
+                    logcf=LogCharFn(SampledAngular(np.array(values))))
+    beta, t = 0.5, 1.0
+    rho = m.index.scaling_exponent
+    sh = m.sigma_hat
+
+    def integrand(a):
+        rotated = np.array([np.cos(a) * sh[0] - np.sin(a) * sh[1],
+                            np.sin(a) * sh[0] + np.cos(a) * sh[1]])
+        return m.logcf.angular(rotated) ** (beta / rho)
+
+    n = len(values)
+    kinks = np.sort(np.mod(2 * np.pi * np.arange(n) / n - np.arctan2(sh[1], sh[0]), 2 * np.pi))
+    avg = quad(integrand, 0.0, 2 * np.pi, points=kinks, limit=400,
+               epsabs=0.0, epsrel=1e-13)[0] / (2 * np.pi)
+    want = (moment_prefactor(beta, rho) * (m.sigma_norm * t ** (1 / rho)) ** beta
+            * _support_factor(beta) * avg)
+    got = fractional_moment(m, beta, t)
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_generic_moment_indicator_trivial_when_thetas_equal():

@@ -9,7 +9,6 @@ from opstable import (
     DomainError,
     UnsupportedRegimeError,
     e_coefficient,
-    e_coefficient_series,
     hamiltonian_tail_integral,
     levy_density,
     s_coefficient,
@@ -20,7 +19,7 @@ from opstable import (
 )
 from opstable.pde_coeffs import CoeffTable, e_coefficient_divergence_rate
 
-from conftest import make_1d_model
+from conftest import e_coefficient_series, make_1d_model
 
 
 def enumeration_coefficient(n, k):

@@ -22,10 +22,9 @@ from opstable import (
     payoff_transform,
     price_option,
 )
-from opstable.pde_coeffs import e_coefficient_series
 from opstable.pricer import _n_factor_hamiltonian
 
-from conftest import make_1d_model, make_rotation_model
+from conftest import e_coefficient_series, make_1d_model, make_rotation_model
 
 V_RATE = 2 * 0.5 * 0.2 ** 2  # variance rate of the standard gaussian fixture
 

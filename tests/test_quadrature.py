@@ -9,6 +9,7 @@ from opstable.quadrature import (
     integrate_panels,
     panel_edges,
     periodic_average,
+    piecewise_average,
 )
 
 from conftest import scalar_periodic_average
@@ -77,3 +78,17 @@ def test_periodic_average_rejects_a_kinked_table():
     with pytest.raises(NonConvergenceError) as ref:
         scalar_periodic_average(scalar)
     assert str(new.value) == str(ref.value)
+
+
+def test_piecewise_average_is_exact_between_given_kinks():
+    # |sin x|: kinks at 0 and pi, smooth between them; average 2 / pi
+    assert piecewise_average(lambda xs: np.abs(np.sin(xs)), [0.0, np.pi]) == pytest.approx(
+        2 / np.pi, rel=1e-14)
+    # a kink list that wraps past 2 pi and repeats a point gives the same pieces
+    assert piecewise_average(lambda xs: np.abs(np.sin(xs)), [2 * np.pi, np.pi, 3 * np.pi]) \
+        == pytest.approx(2 / np.pi, rel=1e-14)
+
+
+def test_piecewise_average_raises_on_a_missed_kink():
+    with pytest.raises(NonConvergenceError, match="node doubling"):
+        piecewise_average(lambda xs: np.abs(np.sin(xs)), [0.0])
