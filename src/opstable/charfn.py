@@ -23,7 +23,14 @@ from .errors import (
     ModelValidationError,
     UnsupportedRegimeError,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, half_line_oscillatory
+from .quadrature import (
+    DEFAULT_QUADRATURE,
+    QuadratureConfig,
+    _panel_widths,
+    half_line_pass,
+    integrate_panels,
+    panel_edges,
+)
 from .stable_index import Regime, StableIndex, jurek_decompose
 
 _EVEN_TOL = 1e-10
@@ -372,8 +379,10 @@ def density(model: MarketModel, xi: float, tau: float,
     cutoff is chosen where the characteristic factor drops below ~1e-17, and
     an AccuracyWarning is emitted when the cap forces a larger tail mass.
     """
-    if tau <= 0:
-        raise DomainError("density requires tau > 0")
+    if not np.isfinite(xi):
+        raise DomainError("density requires a finite xi")
+    if not (np.isfinite(tau) and tau > 0):
+        raise DomainError("density requires a finite tau > 0")
     cf = _projection_cf_factory(model, tau)
     k_scale = _cf_decay_scale(model, tau)
 
@@ -381,11 +390,8 @@ def density(model: MarketModel, xi: float, tau: float,
         return np.cos(ks * xi) * cf(ks)
 
     try:
-        val, _ = half_line_oscillatory(
-            integrand, k_scale, abs(xi), quad,
-            envelope=lambda kk: float(cf(np.array([kk]))[0]),
-            env_target=1e-17,
-        )
+        val, _, _ = half_line_pass(integrand, k_scale, abs(xi), quad,
+                                   lambda kk: float(cf(np.array([kk]))[0]), target=1e-17)
     except AccuracyError as exc:
         if exc.residual is not None and exc.residual > 1e-6:
             warnings.warn(
@@ -393,8 +399,11 @@ def density(model: MarketModel, xi: float, tau: float,
                 f"{exc.residual:.2e} at the cutoff cap (tail mass > 1e-6)",
                 AccuracyWarning,
             )
-        val, _ = half_line_oscillatory(integrand, min(k_scale, quad.theta_cutoff / 64),
-                                       abs(xi), quad)
+        # a fixed range of 64 decay scales, the scale capped so it ends at the cap
+        scale = min(k_scale, quad.theta_cutoff / 64)
+        first_width, max_width = _panel_widths(scale, abs(xi))
+        edges = panel_edges(64.0 * scale, first_width, quad.panel_growth, max_width)
+        val, _ = integrate_panels(integrand, edges, quad.nodes_per_panel)
     return float(val.real) / np.pi
 
 

@@ -231,9 +231,8 @@ def _report_dict(rep: pricer.PriceReport, extra: dict | None = None) -> dict:
 def _cmd_price(args) -> int:
     model, quad = load_config(args.config)
     style = pricer.OptionStyle(args.style)
-    strikes = [float(s) for s in args.strikes.split(",")] if args.strikes else [args.strike]
-    maturities = ([float(s) for s in args.maturities.split(",")]
-                  if args.maturities else [args.maturity])
+    strikes = args.strikes or [args.strike]
+    maturities = args.maturities or [args.maturity]
     if any(v is None for v in strikes) or any(v is None for v in maturities):
         raise ModelValidationError("strike and maturity are required (or their grid forms)")
 
@@ -300,10 +299,10 @@ def _cmd_coeffs(args) -> int:
 def _cmd_density(args) -> int:
     model, quad = load_config(args.config)
     xs = np.linspace(args.xi_min, args.xi_max, args.points)
+    rows = [(x, charfn.density(model, float(x), args.tau, quad)) for x in xs]
     writer = csv.writer(sys.stdout)
     writer.writerow(["xi", "density"])
-    for x in xs:
-        writer.writerow([x, charfn.density(model, float(x), args.tau, quad)])
+    writer.writerows(rows)
     return 0
 
 
@@ -466,6 +465,25 @@ def _cmd_validate(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
+def _number_list(text: str) -> list[float]:
+    """argparse type: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opstable",
@@ -483,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot", type=float, required=True)
     p.add_argument("--strike", type=float)
     p.add_argument("--maturity", type=float)
-    p.add_argument("--strikes", help="comma-separated strike grid")
-    p.add_argument("--maturities", help="comma-separated maturity grid")
+    p.add_argument("--strikes", type=_number_list, help="comma-separated strike grid")
+    p.add_argument("--maturities", type=_number_list, help="comma-separated maturity grid")
     p.add_argument("--style", choices=["call", "put"], default="call")
     p.add_argument("--time", type=float, default=0.0, help="valuation time t < maturity")
     p.add_argument("--hedge", action="store_true", help="add hedge ratio and portfolio value")
@@ -494,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run a validation suite; exit 1 on failure")
     add_config(p)
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
-    p.add_argument("--samples", type=int, default=1000, help="random draws per property")
+    p.add_argument("--samples", type=_count, default=1000, help="random draws per property")
     p.add_argument("--paths", type=int, default=1_000_000, help="MC paths for mc-cross")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_validate)
@@ -517,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--xi-min", type=float, required=True)
     p.add_argument("--xi-max", type=float, required=True)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_count, default=101)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("mc", help="Monte-Carlo price")

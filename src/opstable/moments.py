@@ -155,12 +155,12 @@ def power_marginal_cf(model: MarketModel, beta: float, k: float, t: float,
     kernel against the unit-direction characteristic function is evaluated
     on oscillation-aware panels.
     """
-    if beta < 1:
-        raise DomainError("marginal characteristic functions require beta >= 1")
-    if t <= 0:
-        raise DomainError("marginal characteristic functions require t > 0")
-    if k < 0:
-        raise DomainError("evaluate at k >= 0 (conjugate for negative k)")
+    if not (np.isfinite(beta) and beta >= 1):
+        raise DomainError("marginal characteristic functions require a finite beta >= 1")
+    if not (np.isfinite(t) and t > 0):
+        raise DomainError("marginal characteristic functions require a finite t > 0")
+    if not (np.isfinite(k) and k >= 0):
+        raise DomainError("evaluate at a finite k >= 0 (conjugate for negative k)")
     if abs(beta - 1.0) < _INT_TOL:
         return complex(char_fn(model, k * model.sigma, t))
     if k == 0.0:
@@ -265,10 +265,10 @@ def fractional_moment(model: MarketModel, beta: float, t: float) -> complex:
     integer beta raises MomentInfiniteError, as does any beta at or above
     the regime's existence threshold.
     """
-    if beta <= 0:
-        raise DomainError("fractional moments require beta > 0")
-    if t <= 0:
-        raise DomainError("fractional moments require t > 0")
+    if not (np.isfinite(beta) and beta > 0):
+        raise DomainError("fractional moments require a finite beta > 0")
+    if not (np.isfinite(t) and t > 0):
+        raise DomainError("fractional moments require a finite t > 0")
     n = round(beta)
     if abs(beta - n) < _INT_TOL:
         if n % 2 == 1:

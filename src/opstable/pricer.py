@@ -62,7 +62,13 @@ class OptionContract:
 
 @dataclass(frozen=True)
 class PriceReport:
-    """Price plus the factor decomposition and numerical diagnostics."""
+    """Price plus the factor decomposition and numerical diagnostics.
+
+    `quadrature_error` bounds the quadrature's share of the price error: the
+    larger of the node-halving estimate and the truncated-tail bound of the
+    two factors (see `price_option`).  `imag_residue` is |Im| of the raw
+    price, the model's inconsistency diagnostic.
+    """
 
     price: float
     n1: complex
@@ -198,14 +204,16 @@ def _pricing_scales(model: MarketModel, tau: float) -> float:
 
 
 def _theta_integral(cf_pair, y: float, zi: float, scale: float, envelope,
-                    quad: QuadratureConfig, wide_target: float | None):
+                    quad: QuadratureConfig):
     """Half-line theta-integral of the contour-shifted (appendix) representation.
 
     int_0^inf ( sin(theta y)/theta * (cosh(theta zi) M1 + sinh(theta zi) M2)
               + i cos(theta y)/theta * (cosh(theta zi) M2 + sinh(theta zi) M1) ) dtheta
     with M1, M2 the even/odd combinations of the pair F(+theta), F(-theta)
-    returned by `cf_pair`.  Returns (value, error, wide value) of
-    `half_line_pass`.
+    returned by `cf_pair`.  Returns (value, error, tail bound) of
+    `half_line_pass`, the tail bound doubled: each of the sine and cosine
+    parts is at most 2 envelope / theta when exp(|zi| theta) |F(-theta)|,
+    like exp(|zi| theta) |F(+theta)|, stays below the envelope.
     """
     def integrand(ths):
         f_plus, f_minus = cf_pair(ths)
@@ -216,13 +224,13 @@ def _theta_integral(cf_pair, y: float, zi: float, scale: float, envelope,
         return (np.sin(ths * y) / ths * m_sin
                 + 1j * np.cos(ths * y) / ths * m_cos)
 
-    return half_line_pass(integrand, scale, abs(y), quad, envelope,
-                          wide_target=wide_target)
+    value, err, tail = half_line_pass(integrand, scale, abs(y), quad, envelope)
+    return value, err, 2.0 * tail
 
 
 def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: float,
-                   quad: QuadratureConfig, wide_target: float | None = None):
-    """(value, error, wide value) of the appendix-route factor N^(s)(d; z)."""
+                   quad: QuadratureConfig):
+    """(value, error, tail bound) of the appendix-route factor N^(s)(d; z)."""
     if tau <= 0:
         raise DomainError("n-factor requires tau > 0")
     z = complex(z)
@@ -234,13 +242,11 @@ def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: floa
         g = tau * log_cf_complex(model, th + 1j * s).real - abs(zi) * th
         return float(np.exp(-min(g, 700.0)))
 
-    val, err, wide = _theta_integral(lambda ths: _shifted_cf_pair(model, ths, s, tau),
-                                     d + zr, zi, scale, envelope, quad, wide_target)
+    val, err, tail = _theta_integral(lambda ths: _shifted_cf_pair(model, ths, s, tau),
+                                     d + zr, zi, scale, envelope, quad)
     first = np.exp(-tau * log_cf_imag_upper(model, s))
     pre = np.exp(s * z) / 2.0
-    return (complex(pre * (first + val / np.pi)),
-            abs(pre) * err / np.pi,
-            complex(pre * (first + wide / np.pi)))
+    return complex(pre * (first + val / np.pi)), abs(pre) * err / np.pi, abs(pre) * tail / np.pi
 
 
 def n_factor_appendix(model: MarketModel, s: float, d: float, z: complex,
@@ -271,13 +277,13 @@ def _real_cf(model: MarketModel, tau: float):
 
 
 def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: float,
-                 quad: QuadratureConfig, wide_target: float | None = None) -> list:
+                 quad: QuadratureConfig) -> list:
     """Direct-route factors for every s in `shifts`, on one set of nodes.
 
     The kernels of N^(0) and N^(1) share the real characteristic factor,
     the decay scale and the frequency |d + z|, hence their panels, so
     exp(-tau phi) is evaluated once per node for all of them.  Returns one
-    (value, error, wide value) triple per shift.
+    (value, error, tail bound) triple per shift.
     """
     y = d + zr
     cf = _real_cf(model, tau)
@@ -289,17 +295,16 @@ def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: fl
                          c * (np.cos(ths * y) - ths * sn) / (1.0 + ths * ths)
                          for s in shifts])
 
-    vals, errs, wides = half_line_pass(integrand, _pricing_scales(model, tau), abs(y), quad,
-                                       lambda th: float(cf(np.array([th]))[0]),
-                                       wide_target=wide_target)
+    vals, errs, tail = half_line_pass(integrand, _pricing_scales(model, tau), abs(y), quad,
+                                      lambda th: float(cf(np.array([th]))[0]))
     out = []
-    for s, val, err, wide in zip(shifts, vals.tolist(), errs.tolist(), wides.tolist()):
+    for s, val, err in zip(shifts, vals.tolist(), errs.tolist()):
         if s == 0:
-            out.append((complex(0.5 + val / np.pi), err / np.pi, 0.5 + wide / np.pi))
+            out.append((complex(0.5 + val / np.pi), err / np.pi, tail / np.pi))
         else:
             t_scale = np.exp(-y) / np.pi
             out.append((complex(1.0 - np.exp(zr) * (t_scale * val)),
-                        np.exp(zr - y) * err / np.pi, 1.0 - np.exp(zr) * (t_scale * wide)))
+                        np.exp(zr - y) * err / np.pi, np.exp(zr - y) * tail / np.pi))
     return out
 
 
@@ -350,8 +355,8 @@ def n_factor(model: MarketModel, s: float, d: float, z: complex, tau: float,
 # --------------------------------------------------------------------------
 
 def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
-                          quad: QuadratureConfig, wide_target: float | None = None):
-    """(value, error, wide value) of the N-factor of a non-even Hamiltonian symbol.
+                          quad: QuadratureConfig):
+    """(value, error, tail bound) of the N-factor of a non-even Hamiltonian symbol.
 
     The appendix pass with the characteristic factor G(w) = exp(-tau V(-w))
     and no separate shift (the drift lives inside V).
@@ -365,10 +370,10 @@ def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
     def envelope(th):
         return float(np.abs(g_fn(np.array([th + 1j * s])))[0])
 
-    val, err, wide = _theta_integral(lambda ths: (g_fn(ths + 1j * s), g_fn(-ths + 1j * s)),
-                                     d, 0.0, scale, envelope, quad, wide_target)
+    val, err, tail = _theta_integral(lambda ths: (g_fn(ths + 1j * s), g_fn(-ths + 1j * s)),
+                                     d, 0.0, scale, envelope, quad)
     first = complex(g_fn(np.array([1j * s]))[0])
-    return 0.5 * (first + val / np.pi), err / np.pi, 0.5 * (first + wide / np.pi)
+    return 0.5 * (first + val / np.pi), err / np.pi, tail / np.pi
 
 
 # --------------------------------------------------------------------------
@@ -387,11 +392,10 @@ def price_option(model: MarketModel, contract: OptionContract, spot: float,
     (the sign-flipped regular payoff transform plus the analytic delta
     terms), so call - put = spot - K e^{-r tau} holds exactly.
 
-    `quadrature_error` is the larger of the node-halving error of the two
-    factors up to their truncation cutoff (weighted as in the price) and the
-    change in the raw price when the cutoff's envelope target drops two
-    decades.  Both come from one pass per factor: the deeper cutoff only
-    adds the panels beyond the first.
+    `quadrature_error` is the larger of two sums over the factors, each
+    weighted as in the price: the node-halving errors up to the truncation
+    cutoffs, and the bounds on the integrals dropped beyond them.  Both come
+    from the one pass per factor (see `half_line_pass` for the tail bound).
     """
     if not (np.isfinite(spot) and spot > 0):
         raise DomainError("spot must be positive and finite")
@@ -402,32 +406,26 @@ def price_option(model: MarketModel, contract: OptionContract, spot: float,
     mode = model.logcf.continuation
     d = -np.log(contract.strike / spot) + model.rate * tau
     disc = np.exp(-model.rate * tau)
-    # cutoff diagnostic: push the truncation target down two decades
-    wide_target = max(quad.tolerance * 1e-2, 1e-15) * 1e-3
 
     if mode is ContinuationMode.GAMMA_RATIO:
         z = 0.0 + 0.0j
-        f1 = _n_factor_hamiltonian(model, 1.0, d, tau, quad, wide_target)
-        f2 = _n_factor_hamiltonian(model, 0.0, d, tau, quad, wide_target)
+        f1 = _n_factor_hamiltonian(model, 1.0, d, tau, quad)
+        f2 = _n_factor_hamiltonian(model, 0.0, d, tau, quad)
     else:
         z = log_cf_imag(model, 1.0) * tau
         if abs(complex(z).imag) < 1e-13:
-            f1, f2 = _direct_pass(model, (1.0, 0.0), d, complex(z).real, tau, quad,
-                                  wide_target)
+            f1, f2 = _direct_pass(model, (1.0, 0.0), d, complex(z).real, tau, quad)
         else:
-            f1 = _appendix_pass(model, 1.0, d, z, tau, quad, wide_target)
-            f2 = _appendix_pass(model, 0.0, d, z, tau, quad, wide_target)
-    (n1, e1, n1_w), (n2, e2, n2_w) = f1, f2
+            f1 = _appendix_pass(model, 1.0, d, z, tau, quad)
+            f2 = _appendix_pass(model, 0.0, d, z, tau, quad)
+    (n1, e1, b1), (n2, e2, b2) = f1, f2
 
-    def assemble(f1, f2):
-        call = spot * f1 - contract.strike * disc * f2
-        if contract.style is OptionStyle.PUT:
-            return contract.strike * disc * (1.0 - f2) - spot * (1.0 - f1)
-        return call
-
-    raw = assemble(n1, n2)
-    quad_err = max(spot * e1 + contract.strike * disc * e2,
-                   abs(raw - assemble(n1_w, n2_w)))
+    k_disc = contract.strike * disc
+    if contract.style is OptionStyle.PUT:
+        raw = k_disc * (1.0 - n2) - spot * (1.0 - n1)
+    else:
+        raw = spot * n1 - k_disc * n2
+    quad_err = max(spot * e1 + k_disc * e2, spot * b1 + k_disc * b2)
     return PriceReport(
         price=float(raw.real),
         n1=complex(n1),

@@ -3,7 +3,8 @@
 Half-line integrals of the form int_0^inf f(x) dx are split into geometric
 panels whose widths are capped by the local oscillation period, so that a
 fixed Gauss-Legendre rule per panel resolves the phase.  The error estimate
-is the node-halving difference accumulated over panels.
+is the node-halving difference accumulated over panels; the integral dropped
+beyond the truncation point is bounded from the decay of an envelope.
 """
 
 from __future__ import annotations
@@ -96,15 +97,18 @@ def integrate_panels(f, edges: np.ndarray, nodes: int):
     return complex(value), float(err)
 
 
-def find_decay_point(envelope, target: float, hint: float, cap: float) -> float:
+def find_decay_point(envelope, target: float, hint: float, cap: float) -> tuple:
     """Smallest doubling point past `hint` where `envelope` drops below `target`.
 
     The envelope need not be monotone near the origin; it must eventually
     decrease.  The cap is a hard range limit: if the envelope is still above
-    target there, an AccuracyError carries the residual.
+    target there, an AccuracyError carries the residual.  Returns
+    (x, envelope(x), x_prev, envelope(x_prev)) with x_prev the probe before x;
+    x_prev and its value are None when the search stopped at its first probe.
     """
     x = min(max(hint, 1e-12), cap)
     e = envelope(x)
+    x_prev = e_prev = None
     it = 0
     while e > target:
         if x >= cap:
@@ -112,12 +116,13 @@ def find_decay_point(envelope, target: float, hint: float, cap: float) -> float:
                 f"integrand envelope still {e:.3e} at cutoff {cap:.3e}",
                 residual=float(e),
             )
+        x_prev, e_prev = x, e
         x = min(x * 2.0, cap)
         e = envelope(x)
         it += 1
         if it > 400:
             raise NonConvergenceError("decay-point search did not converge")
-    return x
+    return x, e, x_prev, e_prev
 
 
 def _panel_widths(decay_scale: float, osc_freq: float) -> tuple[float, float]:
@@ -127,53 +132,37 @@ def _panel_widths(decay_scale: float, osc_freq: float) -> tuple[float, float]:
     return min(decay_scale / 8.0, max_width), max_width
 
 
-def half_line_oscillatory(f, decay_scale: float, osc_freq: float,
-                          cfg: QuadratureConfig, envelope=None,
-                          env_target: float | None = None) -> tuple[complex, float]:
-    """Integrate f over [0, inf) with decay scale and oscillation frequency hints.
-
-    `envelope(x)` bounds |f| for the truncation search; the tail is cut where
-    it falls below `env_target` (default tolerance * 1e-3).
-    """
-    if envelope is not None:
-        value, err, _ = half_line_pass(f, decay_scale, osc_freq, cfg, envelope,
-                                       target=env_target)
-        return value, err
-    first_width, max_width = _panel_widths(decay_scale, osc_freq)
-    x_end = min(64.0 * decay_scale, cfg.theta_cutoff)
-    edges = panel_edges(x_end, first_width, cfg.panel_growth, max_width)
-    return integrate_panels(f, edges, cfg.nodes_per_panel)
-
-
 def half_line_pass(f, decay_scale: float, osc_freq: float, cfg: QuadratureConfig,
-                   envelope, target: float | None = None,
-                   wide_target: float | None = None):
-    """Truncated half-line integral plus its value at a deeper cutoff, in one pass.
+                   envelope, target: float | None = None):
+    """Integral of f over [0, inf), truncated where `envelope` decays, with error terms.
 
-    The integral over [0, x_end], with x_end where `envelope` first drops
-    below `target` (default tolerance * 1e-3), carries the node-halving
-    error.  With `wide_target`, the doubling search goes on from x_end down
-    to that target, and the integral over [x_end, x_wide] is added to give
-    the wide value; the panels up to x_end are the same in both, so no node
-    is evaluated twice.  Returns (value, error, wide_value); the wide value
-    equals the value when no wide target is given or the cutoffs coincide.
-    Kernel-axis integrands (see `integrate_panels`) give arrays.
+    The range is cut at x_end, the doubling point past `decay_scale` where
+    `envelope` first drops below `target` (default tolerance * 1e-3).  Returns
+    (value, error, tail): error is the node-halving estimate over [0, x_end]
+    and tail bounds the dropped integral over [x_end, inf).  The bound reads
+    the last two probes of the search: if g = -log envelope is convex beyond
+    the earlier one, g stays above the secant through them, whose slope is s,
+    so the envelope integrates to at most envelope(x_end) / s past x_end.
+    The bound assumes |f(x)| <= 2 envelope(x) / x, true of the pricing
+    kernels, which adds the factor 2 / x_end.  When the search stopped at its
+    first probe there is no secant and tail is inf.
+    Kernel-axis integrands (see `integrate_panels`) give arrays for value and
+    error; tail bounds each kernel.
     """
-    first_width, max_width = _panel_widths(decay_scale, osc_freq)
     target = cfg.tolerance * 1e-3 if target is None else target
-    x_end = find_decay_point(envelope, target, decay_scale, cfg.theta_cutoff)
-    x_wide = x_end
-    if wide_target is not None:
-        x_wide = find_decay_point(envelope, wide_target, x_end, cfg.theta_cutoff)
-    edges = panel_edges(x_wide, first_width, cfg.panel_growth, max_width)
-    if x_wide == x_end:
-        value, err = integrate_panels(f, edges, cfg.nodes_per_panel)
-        return value, err, value
-    cut = int(np.searchsorted(edges, x_end))
-    value, err = integrate_panels(f, np.append(edges[:cut], x_end), cfg.nodes_per_panel)
-    tail_edges = edges[cut:] if edges[cut] == x_end else np.insert(edges[cut:], 0, x_end)
-    tail, _ = integrate_panels(f, tail_edges, cfg.nodes_per_panel)
-    return value, err, value + tail
+    x_end, e_end, x_prev, e_prev = find_decay_point(envelope, target, decay_scale,
+                                                    cfg.theta_cutoff)
+    first_width, max_width = _panel_widths(decay_scale, osc_freq)
+    edges = panel_edges(x_end, first_width, cfg.panel_growth, max_width)
+    value, err = integrate_panels(f, edges, cfg.nodes_per_panel)
+    if x_prev is None:
+        tail = np.inf
+    elif e_end == 0.0:
+        tail = 0.0
+    else:
+        slope = np.log(e_prev / e_end) / (x_end - x_prev)
+        tail = 2.0 * e_end / (slope * x_end)
+    return value, err, float(tail)
 
 
 def periodic_average(f, n_nodes: int = 1024, doubling_tol: float = 1e-10):

@@ -5,6 +5,7 @@ from opstable import (
     ConstantAngular,
     ContinuationMode,
     DirectionalPair,
+    DomainError,
     EigenWeightAngular,
     LogCharFn,
     MarketModel,
@@ -248,3 +249,10 @@ def test_angular_stack_equals_column_calls(angular, dimension):
     assert got.shape == (257,)
     assert np.array_equal(got, want)
     assert isinstance(angular(stack[:, 0]), float)
+
+
+@pytest.mark.parametrize("xi, tau", [(np.nan, 0.5), (np.inf, 0.5), (0.1, np.nan),
+                                     (0.1, np.inf)])
+def test_density_rejects_non_finite_inputs(xi, tau):
+    with pytest.raises(DomainError, match="finite"):
+        density(make_1d_model(1.7), xi, tau)

@@ -350,3 +350,31 @@ def test_moments_on_an_8_entry_rotation_table(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["exists"] is True
     assert payload["value_re"] > 0
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with on a bad argument."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["density", "--tau", "0.5", "--xi-min", "-1", "--xi-max", "1", "--points", "-3"],
+     "--points"),
+    (["density", "--tau", "0.5", "--xi-min", "-1", "--xi-max", "1", "--points", "0"],
+     "--points"),
+    (["density", "--tau", "nan", "--xi-min", "-1", "--xi-max", "1"], "tau"),
+    (["density", "--tau", "0.5", "--xi-min", "nan", "--xi-max", "1", "--points", "3"], "xi"),
+    (["price", "--spot", "100", "--strikes", "90,abc", "--maturity", "0.5"], "--strikes"),
+    (["price", "--spot", "100", "--strike", "90", "--maturities", "0.5,"], "--maturities"),
+    (["moments", "--beta", "nan"], "beta"),
+    (["moments", "--beta", "0.5", "--time", "inf"], "finite t"),
+    (["validate", "--suite", "self-similarity", "--samples", "0"], "--samples"),
+])
+def test_bad_numeric_argument_exits_2_naming_it(stable_config_path, capsys, argv, named):
+    assert _exit_code([argv[0], stable_config_path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err

@@ -610,3 +610,18 @@ def test_marginal_cf_guard_raises_without_overflow_warning(mu, beta, k):
         with pytest.raises(NonConvergenceError, match=r"residual estimate \d\.\d\de\+\d+"):
             power_marginal_cf(m, beta, k, 1.0)
     assert caught == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_moment_arguments_raise_domain_error(bad):
+    model = make_1d_model(1.7)
+    with pytest.raises(DomainError, match="finite"):
+        fractional_moment(model, bad, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        fractional_moment(model, 0.5, bad)
+    with pytest.raises(DomainError, match="finite"):
+        power_marginal_cf(model, bad, 1.0, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        power_marginal_cf(model, 2.5, bad, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        power_marginal_cf(model, 2.5, 1.0, bad)

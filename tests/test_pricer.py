@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from opstable import (
@@ -327,6 +329,23 @@ def _two_pass_factors(model, d, tau, quad):
     return n_factor(model, 1.0, d, z, tau, quad), n_factor(model, 0.0, d, z, tau, quad)
 
 
+def _two_pass_error(model, style, spot, strike, tau, quad):
+    """The former cutoff diagnostic: node-halving error, or the price change
+    when a second pass cuts two decades deeper, whichever is larger."""
+    d = -np.log(strike / spot) + model.rate * tau
+    k_disc = strike * np.exp(-model.rate * tau)
+    (n1, e1), (n2, e2) = _two_pass_factors(model, d, tau, quad)
+    wide = QuadratureConfig(tolerance=quad.tolerance * 1e-2)
+    (n1_w, _), (n2_w, _) = _two_pass_factors(model, d, tau, wide)
+
+    def assemble(f1, f2):
+        if style is OptionStyle.PUT:
+            return k_disc * (1.0 - f2) - spot * (1.0 - f1)
+        return spot * f1 - k_disc * f2
+
+    return max(spot * e1 + k_disc * e2, abs(assemble(n1, n2) - assemble(n1_w, n2_w)))
+
+
 # real_part takes the direct route, principal_complex the appendix route
 # (the direct one at mu = 2, where the shift is real), gamma_ratio the
 # Hamiltonian route
@@ -348,23 +367,71 @@ def test_single_pass_matches_two_pass(mode, mu, style):
     rep = price_option(model, OptionContract(style, strike, tau), spot, quad=quad)
 
     d = -np.log(strike / spot) + model.rate * tau
-    disc = np.exp(-model.rate * tau)
-    (n1, e1), (n2, e2) = _two_pass_factors(model, d, tau, quad)
+    (n1, _), (n2, _) = _two_pass_factors(model, d, tau, quad)
     assert rep.n1 == n1 and rep.n2 == n2
+    # the tail bound never reports less than the deeper second pass measured
+    assert rep.quadrature_error >= _two_pass_error(model, style, spot, strike, tau, quad)
 
-    # the definition of the diagnostic: node-halving error, or the price
-    # change when a second pass cuts two decades deeper, whichever is larger
-    wide = QuadratureConfig(tolerance=quad.tolerance * 1e-2)
-    (n1_w, _), (n2_w, _) = _two_pass_factors(model, d, tau, wide)
 
-    def assemble(f1, f2):
-        if style is OptionStyle.PUT:
-            return strike * disc * (1.0 - f2) - spot * (1.0 - f1)
-        return spot * f1 - strike * disc * f2
+@pytest.mark.parametrize("mode, mus", [
+    (ContinuationMode.REAL_PART, (2.0, 1.9, 1.7, 1.5, 1.2)),
+    (ContinuationMode.PRINCIPAL_COMPLEX, (2.0, 1.9, 1.7, 1.5, 1.2)),
+    (ContinuationMode.GAMMA_RATIO, (2.0, 1.9, 1.7, 1.5)),
+])
+def test_tail_bound_covers_the_deeper_cutoff_on_every_route(mode, mus):
+    spot, strike = 1.0, 1.1
+    for mu in mus:
+        model = make_1d_model(mu, mode=mode)
+        for tol in (1e-10, 1e-8, 1e-6):
+            quad = QuadratureConfig(tolerance=tol)
+            for tau in np.geomspace(0.02, 2.0, 12):
+                for style in (OptionStyle.CALL, OptionStyle.PUT):
+                    rep = price_option(model, OptionContract(style, strike, tau), spot, quad=quad)
+                    old = _two_pass_error(model, style, spot, strike, tau, quad)
+                    assert rep.quadrature_error >= old, (mu, tol, tau, style)
 
-    old = max(spot * e1 + strike * disc * e2,
-              abs(assemble(n1, n2) - assemble(n1_w, n2_w)))
-    assert rep.quadrature_error == pytest.approx(old, rel=1e-12, abs=0.0)
+
+# --- no-arbitrage properties, each within the reported quadrature error ----------------
+
+# rounding of a price assembled from the two factors at spot 1
+_ROUNDING = 1e-15
+
+_quote_inputs = dict(mode=st.sampled_from([ContinuationMode.REAL_PART,
+                                           ContinuationMode.PRINCIPAL_COMPLEX]),
+                     mu=st.floats(1.2, 2.0), tau=st.floats(0.05, 2.0),
+                     strike=st.floats(0.6, 1.6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_quote_inputs)
+def test_put_call_parity_property(mode, mu, tau, strike):
+    model = make_1d_model(mu, mode=mode)
+    call = price_option(model, OptionContract(OptionStyle.CALL, strike, tau), 1.0)
+    put = price_option(model, OptionContract(OptionStyle.PUT, strike, tau), 1.0)
+    forward = 1.0 - strike * np.exp(-model.rate * tau)
+    assert abs(call.price - put.price - forward) <= (call.quadrature_error + put.quadrature_error
+                                                     + _ROUNDING)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_quote_inputs)
+def test_call_price_bounds_property(mode, mu, tau, strike):
+    model = make_1d_model(mu, mode=mode)
+    rep = price_option(model, OptionContract(OptionStyle.CALL, strike, tau), 1.0)
+    intrinsic = max(1.0 - strike * np.exp(-model.rate * tau), 0.0)
+    slack = rep.quadrature_error + _ROUNDING
+    assert intrinsic - slack <= rep.price <= 1.0 + slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_quote_inputs, step=st.floats(0.01, 0.2))
+def test_call_monotone_and_convex_in_strike_property(mode, mu, tau, strike, step):
+    model = make_1d_model(mu, mode=mode)
+    lo, mid, hi = (price_option(model, OptionContract(OptionStyle.CALL, k, tau), 1.0)
+                   for k in (strike - step, strike, strike + step))
+    assert hi.price <= lo.price + lo.quadrature_error + hi.quadrature_error + _ROUNDING
+    slack = lo.quadrature_error + 2.0 * mid.quadrature_error + hi.quadrature_error + _ROUNDING
+    assert lo.price - 2.0 * mid.price + hi.price >= -slack
 
 
 # --- hedge and portfolio -------------------------------------------------------------

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from opstable import NonConvergenceError, SampledAngular
+from opstable import NonConvergenceError, SampledAngular, quadrature
 from opstable.quadrature import (
     QuadratureConfig,
-    half_line_oscillatory,
     half_line_pass,
     integrate_panels,
     panel_edges,
@@ -35,23 +34,34 @@ def test_kernel_axis_matches_scalar_calls():
         assert stacked_err[row] == err
 
 
-def test_half_line_pass_matches_two_cutoffs():
-    # the envelope at the first cutoff lies between the two targets, so the
-    # wide value needs panels beyond it
-    target, wide_target = 1e-5, 1e-9
-    value, err, wide = half_line_pass(damped, 1.0, 3.0, CFG, envelope,
-                                      target=target, wide_target=wide_target)
-    assert (value, err) == half_line_oscillatory(damped, 1.0, 3.0, CFG, envelope, target)
-    two_pass, _ = half_line_oscillatory(damped, 1.0, 3.0, CFG, envelope, wide_target)
-    assert wide != value
-    assert wide == pytest.approx(two_pass, abs=1e-15)
-    assert abs(wide - 0.1) < 1e-12  # int_0^inf e^-x cos 3x dx = 1/10
+def test_half_line_pass_tail_bound_covers_the_exact_tail(monkeypatch):
+    # |e^-x cos 3x| <= 2 env(x) / x for env(x) = x e^-x / 2, whose -log is
+    # convex; the dropped tail is exactly e^-X (cos 3X - 3 sin 3X) / 10
+    def env(x):
+        return x * np.exp(-x) / 2.0
 
+    calls = {"find_decay_point": 0, "integrate_panels": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(quadrature, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quadrature, name, counted)
 
-def test_half_line_pass_without_wide_target():
-    value, err, wide = half_line_pass(damped, 1.0, 3.0, CFG, envelope)
-    assert wide == value
-    assert (value, err) == half_line_oscillatory(damped, 1.0, 3.0, CFG, envelope)
+    value, err, tail = half_line_pass(damped, 1.0, 3.0, CFG, env, target=1e-5)
+    assert calls == {"find_decay_point": 1, "integrate_panels": 1}
+    x_end = quadrature.find_decay_point(env, 1e-5, 1.0, CFG.theta_cutoff)[0]
+    exact_tail = np.exp(-x_end) * (np.cos(3 * x_end) - 3 * np.sin(3 * x_end)) / 10
+    assert tail >= abs(exact_tail) > 0
+    assert abs(value + exact_tail - 0.1) < 1e-12  # int_0^inf e^-x cos 3x dx = 1/10
+
+    value, err, tail = half_line_pass(damped, 1.0, 3.0, CFG, env)
+    assert abs(value - 0.1) < 1e-12
+    assert tail < 1e-12
+
+    # no secant when the first probe is already below target; none needed
+    # when the envelope underflows to zero at the cutoff
+    assert half_line_pass(damped, 40.0, 3.0, CFG, env)[2] == np.inf
+    assert half_line_pass(damped, 1.0, 3.0, QuadratureConfig(tolerance=1e-300), env)[2] == 0.0
 
 
 def test_periodic_average_matches_two_grid_scalar_reference():
