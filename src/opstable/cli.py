@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -490,11 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Price European options on operator-stable log-price models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_cfg = os.environ.get(ENV_CONFIG)
 
     def add_config(p):
-        p.add_argument("config", nargs="?" if default_cfg else None, default=default_cfg,
+        # resolved against $OPSTABLE_CONFIG in `main`, so the parser holds no
+        # per-call state and is built once per process
+        p.add_argument("config", nargs="?",
                        help=f"model config JSON (default from ${ENV_CONFIG})")
+        p.set_defaults(command_parser=p)
 
     p = sub.add_parser("price", help="price options; CSV batch mode via --strikes/--maturities")
     add_config(p)
@@ -556,9 +559,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.config is None:
+        args.config = os.environ.get(ENV_CONFIG)
+        if args.config is None:
+            args.command_parser.error("the following arguments are required: config")
     try:
         return args.func(args)
     except (ModelValidationError, DomainError, FileNotFoundError,

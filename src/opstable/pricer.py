@@ -17,6 +17,7 @@ risk-neutral Monte-Carlo construction integral-for-integral.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,10 +55,16 @@ class OptionContract:
     maturity: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.strike) and self.strike > 0):
-            raise DomainError("strike must be positive and finite")
-        if not (np.isfinite(self.maturity) and self.maturity > 0):
-            raise DomainError("maturity must be positive and finite")
+        if not isinstance(self.style, OptionStyle):
+            raise DomainError(f"style must be an OptionStyle, got {self.style!r}")
+        for name in ("strike", "maturity"):
+            value = getattr(self, name)
+            try:
+                ok = math.isfinite(value) and value > 0
+            except TypeError:  # not a real number
+                ok = False
+            if not ok:
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class PriceReport:
 
 @dataclass(frozen=True)
 class HedgeResult:
-    """Finite-difference hedge ratio, portfolio value and the closed-form gap."""
+    """Hedge ratio -dC/dS, portfolio value and the closed-form gap."""
 
     n_s: float
     portfolio: float
@@ -204,16 +211,20 @@ def _pricing_scales(model: MarketModel, tau: float) -> float:
 
 
 def _theta_integral(cf_pair, y: float, zi: float, scale: float, envelope,
-                    quad: QuadratureConfig):
+                    quad: QuadratureConfig, slope: bool = False) -> list:
     """Half-line theta-integral of the contour-shifted (appendix) representation.
 
     int_0^inf ( sin(theta y)/theta * (cosh(theta zi) M1 + sinh(theta zi) M2)
               + i cos(theta y)/theta * (cosh(theta zi) M2 + sinh(theta zi) M1) ) dtheta
     with M1, M2 the even/odd combinations of the pair F(+theta), F(-theta)
-    returned by `cf_pair`.  Returns (value, error, tail bound) of
-    `half_line_pass`, the tail bound doubled: each of the sine and cosine
-    parts is at most 2 envelope / theta when exp(|zi| theta) |F(-theta)|,
-    like exp(|zi| theta) |F(+theta)|, stays below the envelope.
+    returned by `cf_pair`.  Returns a list of (value, error, tail bound)
+    triples of `half_line_pass`, each tail bound doubled: each of the sine
+    and cosine parts is at most 2 envelope / theta when
+    exp(|zi| theta) |F(-theta)|, like exp(|zi| theta) |F(+theta)|, stays
+    below the envelope.  The list holds the value's triple; with `slope` a
+    second triple follows for the y-derivative, the row
+    cos(theta y) m_sin - i sin(theta y) m_cos on the same nodes, whose parts
+    are at most 2 envelope each.
     """
     def integrand(ths):
         f_plus, f_minus = cf_pair(ths)
@@ -221,16 +232,25 @@ def _theta_integral(cf_pair, y: float, zi: float, scale: float, envelope,
         down = np.exp(-ths * zi)
         m_sin = up * f_plus + down * f_minus
         m_cos = up * f_plus - down * f_minus
-        return (np.sin(ths * y) / ths * m_sin
-                + 1j * np.cos(ths * y) / ths * m_cos)
+        sn, cs = np.sin(ths * y), np.cos(ths * y)
+        value = sn / ths * m_sin + 1j * cs / ths * m_cos
+        # a lone value row stays unstacked: stacking copies every node value
+        return np.array([value, cs * m_sin - 1j * sn * m_cos]) if slope else value
 
-    value, err, tail = half_line_pass(integrand, scale, abs(y), quad, envelope)
-    return value, err, 2.0 * tail
+    if not slope:
+        value, err, tail = half_line_pass(integrand, scale, abs(y), quad, envelope)
+        return [(value, err, 2.0 * tail)]
+    vals, errs, tails = half_line_pass(integrand, scale, abs(y), quad, envelope,
+                                       flat=(False, True))
+    return [(v, e, 2.0 * b) for v, e, b in zip(vals.tolist(), errs.tolist(), tails)]
 
 
 def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: float,
-                   quad: QuadratureConfig):
-    """(value, error, tail bound) of the appendix-route factor N^(s)(d; z)."""
+                   quad: QuadratureConfig, slope: bool = False) -> list:
+    """[(value, error, tail bound)] of the appendix-route factor N^(s)(d; z).
+
+    With `slope` a second triple follows for dN/dd from the same pass.
+    """
     if tau <= 0:
         raise DomainError("n-factor requires tau > 0")
     z = complex(z)
@@ -242,11 +262,15 @@ def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: floa
         g = tau * log_cf_complex(model, th + 1j * s).real - abs(zi) * th
         return float(np.exp(-min(g, 700.0)))
 
-    val, err, tail = _theta_integral(lambda ths: _shifted_cf_pair(model, ths, s, tau),
-                                     d + zr, zi, scale, envelope, quad)
+    rows = _theta_integral(lambda ths: _shifted_cf_pair(model, ths, s, tau),
+                           d + zr, zi, scale, envelope, quad, slope)
     first = np.exp(-tau * log_cf_imag_upper(model, s))
     pre = np.exp(s * z) / 2.0
-    return complex(pre * (first + val / np.pi)), abs(pre) * err / np.pi, abs(pre) * tail / np.pi
+    (val, err, tail), *slopes = rows
+    out = [(complex(pre * (first + val / np.pi)), abs(pre) * err / np.pi,
+            abs(pre) * tail / np.pi)]
+    return out + [(complex(pre * v / np.pi), abs(pre) * e / np.pi, abs(pre) * b / np.pi)
+                  for v, e, b in slopes]
 
 
 def n_factor_appendix(model: MarketModel, s: float, d: float, z: complex,
@@ -262,7 +286,7 @@ def n_factor_appendix(model: MarketModel, s: float, d: float, z: complex,
     the two half-line branches; for real z they reduce to the plain M1/M2
     combination.  Returns (value, error estimate).
     """
-    value, err, _ = _appendix_pass(model, s, d, z, tau, quad)
+    (value, err, _), = _appendix_pass(model, s, d, z, tau, quad)
     return value, err
 
 
@@ -277,13 +301,18 @@ def _real_cf(model: MarketModel, tau: float):
 
 
 def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: float,
-                 quad: QuadratureConfig) -> list:
+                 quad: QuadratureConfig, slopes: bool = False) -> list:
     """Direct-route factors for every s in `shifts`, on one set of nodes.
 
     The kernels of N^(0) and N^(1) share the real characteristic factor,
     the decay scale and the frequency |d + z|, hence their panels, so
     exp(-tau phi) is evaluated once per node for all of them.  Returns one
-    (value, error, tail bound) triple per shift.
+    (value, error, tail bound) triple per shift; with `slopes`, one more per
+    shift for dN/dd, from the y-derivative rows on the same nodes:
+    cos(theta y) CF for s = 0, and for s = 1
+    -CF theta (sin(theta y) + theta cos(theta y)) / (1 + theta^2), which
+    gives dN/dd = -e^z T'(y) with T' = -T + (e^{-y}/pi) int (that row).
+    The derivative rows are bounded by CF itself, not CF / theta.
     """
     y = d + zr
     cf = _real_cf(model, tau)
@@ -291,20 +320,33 @@ def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: fl
     def integrand(ths):
         c = cf(ths)
         sn = np.sin(ths * y)
-        return np.array([sn / ths * c if s == 0 else
-                         c * (np.cos(ths * y) - ths * sn) / (1.0 + ths * ths)
-                         for s in shifts])
+        cs = np.cos(ths * y)
+        rows = [sn / ths * c if s == 0 else c * (cs - ths * sn) / (1.0 + ths * ths)
+                for s in shifts]
+        if slopes:
+            rows += [cs * c if s == 0 else -c * ths * (sn + ths * cs) / (1.0 + ths * ths)
+                     for s in shifts]
+        return np.array(rows)
 
-    vals, errs, tail = half_line_pass(integrand, _pricing_scales(model, tau), abs(y), quad,
-                                      lambda th: float(cf(np.array([th]))[0]))
+    flat = [False] * len(shifts) + [True] * (len(shifts) if slopes else 0)
+    vals, errs, tails = half_line_pass(integrand, _pricing_scales(model, tau), abs(y), quad,
+                                       lambda th: float(cf(np.array([th]))[0]), flat=flat)
+    rows = list(zip(vals.tolist(), errs.tolist(), tails))
+    t_scale = np.exp(-y) / np.pi
     out = []
-    for s, val, err in zip(shifts, vals.tolist(), errs.tolist()):
+    for s, (val, err, tail) in zip(shifts, rows):
         if s == 0:
             out.append((complex(0.5 + val / np.pi), err / np.pi, tail / np.pi))
         else:
-            t_scale = np.exp(-y) / np.pi
             out.append((complex(1.0 - np.exp(zr) * (t_scale * val)),
                         np.exp(zr - y) * err / np.pi, np.exp(zr - y) * tail / np.pi))
+    for s, (val, err, tail), (dval, derr, dtail) in zip(shifts, rows, rows[len(shifts):]):
+        if s == 0:
+            out.append((complex(dval / np.pi), derr / np.pi, dtail / np.pi))
+        else:
+            out.append((complex(np.exp(zr) * t_scale * (val - dval)),
+                        np.exp(zr - y) * (err + derr) / np.pi,
+                        np.exp(zr - y) * (tail + dtail) / np.pi))
     return out
 
 
@@ -355,11 +397,12 @@ def n_factor(model: MarketModel, s: float, d: float, z: complex, tau: float,
 # --------------------------------------------------------------------------
 
 def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
-                          quad: QuadratureConfig):
-    """(value, error, tail bound) of the N-factor of a non-even Hamiltonian symbol.
+                          quad: QuadratureConfig, slope: bool = False) -> list:
+    """[(value, error, tail bound)] of the N-factor of a non-even Hamiltonian symbol.
 
     The appendix pass with the characteristic factor G(w) = exp(-tau V(-w))
-    and no separate shift (the drift lives inside V).
+    and no separate shift (the drift lives inside V).  With `slope` a second
+    triple follows for dN/dd from the same pass.
     """
     def g_fn(ws):
         return np.exp(-tau * _gamma_ratio_symbol(model, -np.atleast_1d(ws)))
@@ -370,15 +413,69 @@ def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
     def envelope(th):
         return float(np.abs(g_fn(np.array([th + 1j * s])))[0])
 
-    val, err, tail = _theta_integral(lambda ths: (g_fn(ths + 1j * s), g_fn(-ths + 1j * s)),
-                                     d, 0.0, scale, envelope, quad)
+    rows = _theta_integral(lambda ths: (g_fn(ths + 1j * s), g_fn(-ths + 1j * s)),
+                           d, 0.0, scale, envelope, quad, slope)
     first = complex(g_fn(np.array([1j * s]))[0])
-    return 0.5 * (first + val / np.pi), err / np.pi, tail / np.pi
+    (val, err, tail), *slopes = rows
+    return ([(0.5 * (first + val / np.pi), err / np.pi, tail / np.pi)]
+            + [(0.5 * v / np.pi, e / np.pi, b / np.pi) for v, e, b in slopes])
 
 
 # --------------------------------------------------------------------------
 # option price, hedge and portfolio
 # --------------------------------------------------------------------------
+
+def _factors(model: MarketModel, d: float, tau: float, quad: QuadratureConfig,
+             slopes: bool = False) -> tuple:
+    """(z, triples): N1 and N2 as (value, error, tail bound) on the model's route.
+
+    One pass per factor (one for both on the direct route).  With `slopes`,
+    dN1/dd and dN2/dd follow, from derivative rows on the same nodes; the
+    value rows, and so N1 and N2, are those of the pass without them.
+    """
+    if model.logcf.continuation is ContinuationMode.GAMMA_RATIO:
+        z = 0.0 + 0.0j
+        (f1, *g1), (f2, *g2) = (_n_factor_hamiltonian(model, s, d, tau, quad, slopes)
+                                for s in (1.0, 0.0))
+        return z, [f1, f2, *g1, *g2]
+    z = log_cf_imag(model, 1.0) * tau
+    if abs(complex(z).imag) < 1e-13:
+        return z, _direct_pass(model, (1.0, 0.0), d, complex(z).real, tau, quad, slopes)
+    (f1, *g1), (f2, *g2) = (_appendix_pass(model, s, d, z, tau, quad, slopes)
+                            for s in (1.0, 0.0))
+    return z, [f1, f2, *g1, *g2]
+
+
+def _price_inputs(model: MarketModel, contract: OptionContract, spot: float,
+                  t: float) -> tuple:
+    """(tau, d, K e^{-r tau}) after the spot and valuation-time checks."""
+    if not (np.isfinite(spot) and spot > 0):
+        raise DomainError("spot must be positive and finite")
+    tau = contract.maturity - t
+    if not 0 <= t < contract.maturity:
+        raise DomainError("pricing requires 0 <= t < maturity")
+    d = -np.log(contract.strike / spot) + model.rate * tau
+    return tau, d, contract.strike * np.exp(-model.rate * tau)
+
+
+def _report(model: MarketModel, contract: OptionContract, spot: float, k_disc: float,
+            d: float, z: complex, f1: tuple, f2: tuple) -> PriceReport:
+    (n1, e1, b1), (n2, e2, b2) = f1, f2
+    if contract.style is OptionStyle.PUT:
+        raw = k_disc * (1.0 - n2) - spot * (1.0 - n1)
+    else:
+        raw = spot * n1 - k_disc * n2
+    quad_err = max(spot * e1 + k_disc * e2, spot * b1 + k_disc * b2)
+    return PriceReport(
+        price=float(raw.real),
+        n1=complex(n1),
+        n2=complex(n2),
+        d1=complex(d + z),
+        imag_residue=abs(raw.imag),
+        quadrature_error=float(quad_err),
+        mode=model.logcf.continuation.value,
+    )
+
 
 def price_option(model: MarketModel, contract: OptionContract, spot: float,
                  t: float = 0.0, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> PriceReport:
@@ -397,69 +494,41 @@ def price_option(model: MarketModel, contract: OptionContract, spot: float,
     cutoffs, and the bounds on the integrals dropped beyond them.  Both come
     from the one pass per factor (see `half_line_pass` for the tail bound).
     """
-    if not (np.isfinite(spot) and spot > 0):
-        raise DomainError("spot must be positive and finite")
-    tau = contract.maturity - t
-    if not 0 <= t < contract.maturity:
-        raise DomainError("pricing requires 0 <= t < maturity")
-
-    mode = model.logcf.continuation
-    d = -np.log(contract.strike / spot) + model.rate * tau
-    disc = np.exp(-model.rate * tau)
-
-    if mode is ContinuationMode.GAMMA_RATIO:
-        z = 0.0 + 0.0j
-        f1 = _n_factor_hamiltonian(model, 1.0, d, tau, quad)
-        f2 = _n_factor_hamiltonian(model, 0.0, d, tau, quad)
-    else:
-        z = log_cf_imag(model, 1.0) * tau
-        if abs(complex(z).imag) < 1e-13:
-            f1, f2 = _direct_pass(model, (1.0, 0.0), d, complex(z).real, tau, quad)
-        else:
-            f1 = _appendix_pass(model, 1.0, d, z, tau, quad)
-            f2 = _appendix_pass(model, 0.0, d, z, tau, quad)
-    (n1, e1, b1), (n2, e2, b2) = f1, f2
-
-    k_disc = contract.strike * disc
-    if contract.style is OptionStyle.PUT:
-        raw = k_disc * (1.0 - n2) - spot * (1.0 - n1)
-    else:
-        raw = spot * n1 - k_disc * n2
-    quad_err = max(spot * e1 + k_disc * e2, spot * b1 + k_disc * b2)
-    return PriceReport(
-        price=float(raw.real),
-        n1=complex(n1),
-        n2=complex(n2),
-        d1=complex(d + z),
-        imag_residue=abs(raw.imag),
-        quadrature_error=float(quad_err),
-        mode=mode.value,
-    )
+    tau, d, k_disc = _price_inputs(model, contract, spot, t)
+    z, (f1, f2) = _factors(model, d, tau, quad)
+    return _report(model, contract, spot, k_disc, d, z, f1, f2)
 
 
 def hedge_and_portfolio(model: MarketModel, contract: OptionContract, spot: float,
                         t: float = 0.0,
                         quad: QuadratureConfig = DEFAULT_QUADRATURE) -> HedgeResult:
-    """Hedge ratio N_S = -dC/dS by central differences, and V = N_S S + C.
+    """Hedge ratio N_S = -dC/dS and portfolio value V = N_S S + C.
+
+    C is homogeneous of degree 1 in (spot, K) and d = -log(K/spot) + r tau,
+    so dC/dS = N1 + N1'(d) - (K e^{-r tau}/spot) N2'(d), with the primes
+    d-derivatives; a put's is one less.  The derivatives are integrated on
+    the nodes of the pricing pass, whose value rows give C, equal to
+    `price_option`'s price.  An AccuracyWarning fires when the hedge's own
+    error estimate, the node-halving errors plus the tail bounds of N1, N1'
+    and N2' weighted as in dC/dS, exceeds 1e-4.
 
     The portfolio value is checked against its closed form
     -K e^{-r tau} N2(d1); the gap is reported, not asserted, because the
     factor solution is itself an approximation away from the Gaussian limit.
     """
-    h = 1e-5
-    report = price_option(model, contract, spot, t, quad)
-    up = price_option(model, contract, spot * (1 + h), t, quad)
-    down = price_option(model, contract, spot * (1 - h), t, quad)
-    n_s = -(up.price - down.price) / (2 * spot * h)
-    fd_noise = (up.quadrature_error + down.quadrature_error) / (2 * spot * h)
-    if fd_noise > 1e-4:
-        warnings.warn(
-            f"hedge-ratio finite difference noise {fd_noise:.2e} exceeds 1e-4",
-            AccuracyWarning,
-        )
-    tau = contract.maturity - t
+    tau, d, k_disc = _price_inputs(model, contract, spot, t)
+    z, (f1, f2, g1, g2) = _factors(model, d, tau, quad, slopes=True)
+    report = _report(model, contract, spot, k_disc, d, z, f1, f2)
+    weight = k_disc / spot
+    slope = float((f1[0] + g1[0] - weight * g2[0]).real)
+    if contract.style is OptionStyle.PUT:
+        slope -= 1.0
+    err = sum(w * (e + b) for w, (_, e, b) in zip((1.0, 1.0, weight), (f1, g1, g2)))
+    if err > 1e-4:
+        warnings.warn(f"hedge-ratio error estimate {err:.2e} exceeds 1e-4", AccuracyWarning)
+    n_s = -slope
     value = n_s * spot + report.price
-    closed = -contract.strike * np.exp(-model.rate * tau) * report.n2.real
+    closed = -k_disc * report.n2.real
     return HedgeResult(n_s=n_s, portfolio=value, closed_form_gap=value - closed)
 
 

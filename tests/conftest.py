@@ -16,7 +16,8 @@ from opstable.charfn import _projection_cf_factory
 from opstable.errors import DomainError, NonConvergenceError
 from opstable.moments import KernelParams
 from opstable.pde_coeffs import s_coefficient, stirling_first_kind
-from opstable.quadrature import panel_edges
+from opstable.pricer import price_option
+from opstable.quadrature import DEFAULT_QUADRATURE, panel_edges
 
 
 def make_1d_model(mu, phi=0.5, sigma=0.2, rate=0.05, alpha=0.03,
@@ -140,6 +141,18 @@ def dense_power_marginal_cf(model, beta, k, t, nodes=24):
         vals = (kern * nu1(pts)).reshape(len(lo), len(xs))
         total += np.einsum("pn,n,p->", vals, ws, widths)
     return complex(total)
+
+
+def fd_hedge(model, contract, spot, t=0.0, quad=DEFAULT_QUADRATURE, h=1e-5):
+    """Reference hedge ratio -dC/dS by a central difference of two shifted prices.
+
+    Returns (n_s, noise): noise is the quadrature error of the two shifted
+    prices carried through the difference quotient.
+    """
+    up = price_option(model, contract, spot * (1 + h), t, quad)
+    down = price_option(model, contract, spot * (1 - h), t, quad)
+    n_s = -(up.price - down.price) / (2 * spot * h)
+    return n_s, (up.quadrature_error + down.quadrature_error) / (2 * spot * h)
 
 
 def e_coefficient_series(model, n, k_max=16):

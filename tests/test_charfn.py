@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opstable import (
     ConstantAngular,
@@ -82,6 +84,24 @@ def test_self_similarity(model_factory):
             continue
         lhs = char_fn(m, matrix_power(idx, t) @ np.atleast_1d(k), 1.0)
         assert abs(lhs - rhs) <= 1e-10 * rhs
+
+
+_REGIMES = {"pure_scaling": make_1d_model(1.5), "rotation": make_rotation_model(),
+            "generic": make_generic_model()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(regime=st.sampled_from(sorted(_REGIMES)), log_norm=st.floats(-2.0, 1.5),
+       angle=st.floats(0.0, 2 * np.pi), t=st.floats(1e-3, 10.0))
+def test_self_similarity_property(regime, log_norm, angle, t):
+    # phi_t(k) = phi_1(t^B k): char_fn(k, t) == char_fn(t^B k, 1), over the
+    # |k| range of test_self_similarity
+    m = _REGIMES[regime]
+    k = 10.0 ** log_norm * np.array([np.cos(angle), np.sin(angle)])[:m.index.dimension]
+    rhs = char_fn(m, k, t)
+    assume(rhs >= 1e-280)
+    lhs = char_fn(m, matrix_power(m.index, t) @ k, 1.0)
+    assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
 def test_epsilon_monotonicity():

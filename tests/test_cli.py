@@ -222,6 +222,22 @@ def test_env_var_default_config(gauss_config_path, capsys, monkeypatch):
     assert payload["exists"] is True
 
 
+def test_missing_config_exits_2_after_env_default_is_unset(gauss_config_path, capsys,
+                                                          monkeypatch):
+    # the parser is built once per process; the env default is read per call
+    monkeypatch.setenv("OPSTABLE_CONFIG", gauss_config_path)
+    assert main(["moments", "--beta", "0.5"]) == 0
+    capsys.readouterr()
+    monkeypatch.delenv("OPSTABLE_CONFIG")
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--beta", "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "opstable moments: error: the following arguments are required: config" \
+        in captured.err
+
+
 def test_numerical_error_exits_3(tmp_path, capsys):
     # a tiny theta cutoff forces the quadrature into its accuracy guard
     cfg = dict(GAUSS_CONFIG, mu=1.7,

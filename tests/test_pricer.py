@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from opstable import (
+    AccuracyWarning,
     ContinuationMode,
     DivergentIntegrandError,
     DomainError,
@@ -26,7 +29,7 @@ from opstable import (
 )
 from opstable.pricer import _n_factor_hamiltonian
 
-from conftest import e_coefficient_series, make_1d_model, make_rotation_model
+from conftest import e_coefficient_series, fd_hedge, make_1d_model, make_rotation_model
 
 V_RATE = 2 * 0.5 * 0.2 ** 2  # variance rate of the standard gaussian fixture
 
@@ -318,13 +321,27 @@ def test_non_finite_inputs_raise_domain_error(stable_model_17, bad):
         OptionContract(OptionStyle.CALL, 1.0, bad)
 
 
+def test_option_contract_arguments_out_of_order_raise_domain_error():
+    with pytest.raises(DomainError, match="style"):
+        OptionContract(100.0, 0.5, OptionStyle.CALL)
+    with pytest.raises(DomainError, match="style"):
+        OptionContract("put", 1.0, 0.5)
+    with pytest.raises(DomainError, match="strike"):
+        OptionContract(OptionStyle.CALL, "1.0", 0.5)
+    with pytest.raises(DomainError, match="maturity"):
+        OptionContract(OptionStyle.CALL, 1.0, OptionStyle.PUT)
+    with pytest.raises(DomainError, match="maturity"):
+        OptionContract(OptionStyle.CALL, 1.0, 1j)
+    assert OptionContract(OptionStyle.PUT, np.float64(1.0), 1).maturity == 1
+
+
 # --- single pass per factor ----------------------------------------------------------
 
 def _two_pass_factors(model, d, tau, quad):
     """(N1, e1), (N2, e2) through the public per-factor routes."""
     if model.logcf.continuation is ContinuationMode.GAMMA_RATIO:
-        return (_n_factor_hamiltonian(model, 1.0, d, tau, quad)[:2],
-                _n_factor_hamiltonian(model, 0.0, d, tau, quad)[:2])
+        return (_n_factor_hamiltonian(model, 1.0, d, tau, quad)[0][:2],
+                _n_factor_hamiltonian(model, 0.0, d, tau, quad)[0][:2])
     z = log_cf_imag(model, 1.0) * tau
     return n_factor(model, 1.0, d, z, tau, quad), n_factor(model, 0.0, d, z, tau, quad)
 
@@ -450,16 +467,87 @@ def test_gaussian_portfolio_closed_form_gap(gaussian_model):
 
 
 def test_deep_otm_hedge_vanishes():
-    import warnings
-
-    from opstable import AccuracyWarning
-
     m = make_1d_model(2.0)
     c = OptionContract(OptionStyle.CALL, 100.0, 0.02)
     with warnings.catch_warnings():
-        # the relative finite-difference step is noisy on a near-zero price;
-        # the unstable-delta warning is expected here
-        warnings.simplefilter("ignore", AccuracyWarning)
+        warnings.simplefilter("error", AccuracyWarning)
         hr = hedge_and_portfolio(m, c, 50.0)
     assert abs(hr.n_s) <= 1e-8
     assert abs(hr.portfolio) <= 1e-8
+
+
+# --- analytic hedge on the pricing pass's nodes ----------------------------------------
+
+_ROUTES = [(ContinuationMode.REAL_PART, mu) for mu in (2.0, 1.7, 1.2)] + \
+          [(ContinuationMode.PRINCIPAL_COMPLEX, mu) for mu in (2.0, 1.7, 1.2)] + \
+          [(ContinuationMode.GAMMA_RATIO, mu) for mu in (2.0, 1.7)]
+
+
+def _quiet_hedge(model, contract, spot):
+    # the principal_complex s=1 factor is not converged below D*mu = 2, and
+    # the hedge says so with an AccuracyWarning; these tests compare values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        return hedge_and_portfolio(model, contract, spot)
+
+
+@pytest.mark.parametrize("mode, mu", _ROUTES)
+def test_analytic_hedge_matches_finite_difference_reference(mode, mu):
+    model = make_1d_model(mu, sigma=0.15, mode=mode)
+    for strike in (85.0, 100.0, 115.0):
+        for tau in (0.25, 1.0):
+            c = OptionContract(OptionStyle.CALL, strike, tau)
+            ref, noise = fd_hedge(model, c, 100.0)
+            hr = _quiet_hedge(model, c, 100.0)
+            assert abs(hr.n_s - ref) <= noise + 1e-8, (strike, tau)
+
+
+@pytest.mark.parametrize("mode", [ContinuationMode.REAL_PART, ContinuationMode.PRINCIPAL_COMPLEX])
+def test_gaussian_hedge_is_minus_delta_on_a_grid(mode):
+    model = make_1d_model(2.0, mode=mode)
+    for strike in (70.0, 85.0, 100.0, 115.0, 130.0):
+        for tau in (0.05, 0.1, 0.5, 1.0, 2.0):
+            hr = hedge_and_portfolio(model, OptionContract(OptionStyle.CALL, strike, tau), 100.0)
+            d1 = (np.log(100.0 / strike) + (0.05 + V_RATE / 2) * tau) / np.sqrt(V_RATE * tau)
+            assert abs(hr.n_s + ndtr(d1)) <= 1e-12, (strike, tau)
+
+
+@pytest.mark.parametrize("mode, mu", _ROUTES)
+def test_put_hedge_is_call_hedge_plus_one(mode, mu):
+    model = make_1d_model(mu, mode=mode)
+    for strike in (0.8, 1.0, 1.25):
+        call, put = (_quiet_hedge(model, OptionContract(style, strike, 0.5), 1.0)
+                     for style in (OptionStyle.CALL, OptionStyle.PUT))
+        assert abs(put.n_s - (call.n_s + 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode, mu", _ROUTES)
+def test_hedge_pass_prices_as_price_option(mode, mu):
+    # V = N_S S + C with C from the hedge pass's value rows, bit for bit
+    model = make_1d_model(mu, mode=mode)
+    for style in (OptionStyle.CALL, OptionStyle.PUT):
+        c = OptionContract(style, 1.1, 0.5)
+        hr = _quiet_hedge(model, c, 1.0)
+        assert hr.portfolio == hr.n_s * 1.0 + price_option(model, c, 1.0).price
+
+
+@pytest.mark.parametrize("mu", [1.7, 1.5, 1.2])
+def test_heavy_tail_hedge_raises_no_accuracy_warning(mu):
+    model = make_1d_model(mu, sigma=0.15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        hr = hedge_and_portfolio(model, OptionContract(OptionStyle.CALL, 100.0, 0.5), 100.0)
+    assert -1.0 < hr.n_s < 0.0
+
+
+# rounding of a hedge ratio summed from factors of order one (N1 + N1' cancels
+# to the last few bits of 1 far out of the money)
+_HEDGE_ROUNDING = 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(1.2, 2.0), tau=st.floats(0.05, 2.0), strike=st.floats(0.6, 1.6))
+def test_call_hedge_in_unit_range_property(mu, tau, strike):
+    model = make_1d_model(mu)
+    hr = hedge_and_portfolio(model, OptionContract(OptionStyle.CALL, strike, tau), 1.0)
+    assert -1.0 - _HEDGE_ROUNDING <= hr.n_s <= _HEDGE_ROUNDING
