@@ -10,6 +10,7 @@ for non-Gaussian exponents; see ContinuationMode.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -151,7 +152,11 @@ class LogCharFn:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Immutable market description: drift, portfolio mix, rate, index, phi."""
+    """Immutable market description: drift, portfolio mix, rate, index, phi.
+
+    `sigma` is stored as a read-only copy, so the constants derived from it
+    (see `projection`) cannot go stale.
+    """
 
     alpha: float
     sigma: np.ndarray
@@ -160,7 +165,8 @@ class MarketModel:
     logcf: LogCharFn
 
     def __post_init__(self):
-        sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
+        sigma = np.array(self.sigma, dtype=float, ndmin=1)
+        sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         if sigma.shape != (self.index.dimension,):
             raise ModelValidationError("sigma dimension does not match the stable index")
@@ -212,6 +218,21 @@ class MarketModel:
     def sigma_hat(self) -> np.ndarray:
         return self.sigma / self.sigma_norm
 
+    @functools.cached_property
+    def projection(self) -> tuple[float, float, float]:
+        """(exponent, |sigma|, angular value at sigma-hat), computed once.
+
+        See `projection_params`.  The cache lives in the instance dict, not
+        in a dataclass field, so equality, repr and hashing are unchanged.
+        """
+        if self.index.regime is not Regime.PURE_SCALING:
+            raise UnsupportedRegimeError(
+                "analytic continuation requires the pure-scaling regime (any D)"
+            )
+        eta = self.index.scaling_exponent
+        phi_dir = float(self.logcf.angular(self.sigma_hat))
+        return eta, self.sigma_norm, phi_dir
+
 
 def _sphere_probe(dimension: int):
     if dimension == 1:
@@ -259,16 +280,11 @@ def projection_params(model: MarketModel) -> tuple[float, float, float]:
 
     For pure scaling the projection sigma . L_t is one-dimensional symmetric
     stable with exponent D*mu, so pricing and continuation reduce exactly to
-    this triple.  Other regimes have no single-exponent reduction.
+    this triple.  Other regimes have no single-exponent reduction and raise
+    UnsupportedRegimeError.  The triple is computed once per model and
+    cached on it (`MarketModel.projection`).
     """
-    index = model.index
-    if index.regime is not Regime.PURE_SCALING:
-        raise UnsupportedRegimeError(
-            "analytic continuation requires the pure-scaling regime (any D)"
-        )
-    eta = index.scaling_exponent
-    phi_dir = float(model.logcf.angular(model.sigma_hat))
-    return eta, model.sigma_norm, phi_dir
+    return model.projection
 
 
 def is_gaussian(model: MarketModel) -> bool:
@@ -329,11 +345,8 @@ def log_cf_imag(model: MarketModel, s: float) -> complex:
 
 def _projection_cf_factory(model: MarketModel, tau: float):
     """Vectorized k -> exp(-tau phi(k sigma)) for the scalar projection."""
-    index = model.index
-    if index.regime is Regime.PURE_SCALING:
-        eta = index.scaling_exponent
-        sig = model.sigma_norm
-        phi_dir = float(model.logcf.angular(model.sigma_hat))
+    if model.index.regime is Regime.PURE_SCALING:
+        eta, sig, phi_dir = projection_params(model)
         eps = model.logcf.epsilon
 
         def cf(ks):

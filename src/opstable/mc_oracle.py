@@ -214,7 +214,10 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
     component by its exact martingale expectation: price = mean(put payoff)
     + spot - K e^{-r tau}.  That estimator has finite variance and targets
     the same compensated expectation; the raw capped mean is still reported
-    as `raw_price`, with a stability flag for its standard error.
+    as `raw_price`, with a stability flag for its standard error.  The cap
+    can itself lie beyond log(float max) (D*mu near 1), so a capped S_T may
+    overflow to inf: a put's payoff is then 0, a call's inf, and a call's
+    `raw_price` is inf while its parity price stays finite.
 
     The cap and the compensator need the pure-scaling regime; other regimes
     raise UnsupportedRegimeError.
@@ -244,7 +247,8 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
     is_put = getattr(contract.style, "value", contract.style) == "put"
 
     def payoffs(values: np.ndarray, put: bool) -> np.ndarray:
-        s_t = spot * np.exp(drift + values)
+        with np.errstate(over="ignore"):  # see the docstring: S_T may be inf
+            s_t = spot * np.exp(drift + values)
         if put:
             return np.maximum(contract.strike - s_t, 0.0)
         return np.maximum(s_t - contract.strike, 0.0)
@@ -253,8 +257,7 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
     raw_price = disc * float(np.mean(raw))
     clipped = np.abs(x) > cap
     if np.any(clipped):
-        with np.errstate(over="ignore"):
-            gap = payoffs(x[clipped], is_put) - payoffs(x_capped[clipped], is_put)
+        gap = payoffs(x[clipped], is_put) - payoffs(x_capped[clipped], is_put)
         cap_impact = disc * float(np.sum(gap)) / cfg.n_paths
     else:
         cap_impact = 0.0

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .charfn import MarketModel, SampledAngular, _projection_cf_factory, char_fn
+from .charfn import (
+    MarketModel,
+    SampledAngular,
+    _projection_cf_factory,
+    char_fn,
+    projection_params,
+)
 from .errors import (
     DivergentIntegrandError,
     DomainError,
@@ -283,7 +289,7 @@ def fractional_moment(model: MarketModel, beta: float, t: float) -> complex:
         rho = index.scaling_exponent
         if beta >= rho:
             raise MomentInfiniteError(f"moment exists only for beta < {rho}")
-        phi_dir = float(model.logcf.angular(model.sigma_hat))
+        _, _, phi_dir = projection_params(model)
         return (moment_prefactor(beta, rho)
                 * (sig * t ** (1.0 / rho)) ** beta
                 * support

@@ -160,24 +160,15 @@ def payoff_transform(contract: OptionContract, k: complex) -> PayoffTransform:
 # shifted characteristic factors
 # --------------------------------------------------------------------------
 
-def _shifted_cf_pair(model: MarketModel, thetas: np.ndarray, s: float,
-                     tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-tau phi(sigma(+theta + i s))) and the -theta companion, vectorized."""
-    f_plus = np.exp(-tau * log_cf_complex(model, thetas + 1j * s))
-    if s == 0.0:
-        f_minus = f_plus
-    else:
-        f_minus = np.exp(-tau * log_cf_complex(model, -thetas + 1j * s))
-    return f_plus, f_minus
-
-
 def m_factors(model: MarketModel, theta: float, s: float, tau: float) -> tuple[complex, complex]:
     """Even/odd combinations of the contour-shifted characteristic factor.
 
     M1 = F(+theta) + F(-theta), M2 = F(+theta) - F(-theta) with
-    F(w) = exp(-tau phi(sigma(w + i s))).  At theta = 0 both p-terms sit on
-    the continuation cut and the definition value (2 exp(-tau phi(i s sigma)), 0)
-    is returned, with phi(i s sigma) the branch limit from Re > 0.
+    F(w) = exp(-tau phi(sigma(w + i s))), evaluated once as F(-theta) =
+    conj F(+theta) (see `_theta_integral`).  At theta = 0 both p-terms sit
+    on the continuation cut, where that identity fails, and the definition
+    value (2 exp(-tau phi(i s sigma)), 0) is returned, with phi(i s sigma)
+    the branch limit from Re > 0.
     """
     if theta < 0:
         raise DomainError("theta >= 0; the factors encode both signs already")
@@ -185,8 +176,8 @@ def m_factors(model: MarketModel, theta: float, s: float, tau: float) -> tuple[c
         raise DomainError("m-factors require tau > 0")
     if theta == 0.0:
         return 2.0 * np.exp(-tau * log_cf_imag_upper(model, s)), 0.0 + 0.0j
-    f_plus, f_minus = _shifted_cf_pair(model, np.array([theta]), s, tau)
-    return complex(f_plus[0] + f_minus[0]), complex(f_plus[0] - f_minus[0])
+    f = complex(np.exp(-tau * log_cf_complex(model, theta + 1j * s)))
+    return f + f.conjugate(), f - f.conjugate()
 
 
 def _check_decay(model: MarketModel, s: float, tau: float, z_i: float,
@@ -210,24 +201,26 @@ def _pricing_scales(model: MarketModel, tau: float) -> float:
     return (1.0 / (tau * phi_dir)) ** (1.0 / eta) / sig
 
 
-def _theta_integral(cf_pair, y: float, zi: float, scale: float, envelope,
+def _theta_integral(cf, y: float, zi: float, scale: float, envelope,
                     quad: QuadratureConfig, slope: bool = False) -> list:
     """Half-line theta-integral of the contour-shifted (appendix) representation.
 
     int_0^inf ( sin(theta y)/theta * (cosh(theta zi) M1 + sinh(theta zi) M2)
               + i cos(theta y)/theta * (cosh(theta zi) M2 + sinh(theta zi) M1) ) dtheta
-    with M1, M2 the even/odd combinations of the pair F(+theta), F(-theta)
-    returned by `cf_pair`.  Returns a list of (value, error, tail bound)
-    triples of `half_line_pass`, each tail bound doubled: each of the sine
-    and cosine parts is at most 2 envelope / theta when
-    exp(|zi| theta) |F(-theta)|, like exp(|zi| theta) |F(+theta)|, stays
-    below the envelope.  The list holds the value's triple; with `slope` a
-    second triple follows for the y-derivative, the row
-    cos(theta y) m_sin - i sin(theta y) m_cos on the same nodes, whose parts
-    are at most 2 envelope each.
+    with M1, M2 the even/odd combinations of F(+theta) = cf(theta) and
+    F(-theta) = conj F(+theta), which holds exactly at every theta > 0,
+    so at every Gauss node (README, "Conjugate symmetry").  Returns a list
+    of (value, error, tail bound) triples of `half_line_pass`, each tail
+    bound doubled: each of the sine and cosine parts is at most
+    2 envelope / theta when exp(|zi| theta) |F(+theta)| stays below the
+    envelope, as exp(|zi| theta) |F(-theta)| then does by the identity.  The
+    list holds the value's triple; with `slope` a second triple follows for
+    the y-derivative, the row cos(theta y) m_sin - i sin(theta y) m_cos on
+    the same nodes, whose parts are at most 2 envelope each.
     """
     def integrand(ths):
-        f_plus, f_minus = cf_pair(ths)
+        f_plus = cf(ths)
+        f_minus = np.conj(f_plus)
         up = np.exp(ths * zi)
         down = np.exp(-ths * zi)
         m_sin = up * f_plus + down * f_minus
@@ -262,7 +255,7 @@ def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: floa
         g = tau * log_cf_complex(model, th + 1j * s).real - abs(zi) * th
         return float(np.exp(-min(g, 700.0)))
 
-    rows = _theta_integral(lambda ths: _shifted_cf_pair(model, ths, s, tau),
+    rows = _theta_integral(lambda ths: np.exp(-tau * log_cf_complex(model, ths + 1j * s)),
                            d + zr, zi, scale, envelope, quad, slope)
     first = np.exp(-tau * log_cf_imag_upper(model, s))
     pre = np.exp(s * z) / 2.0
@@ -402,19 +395,23 @@ def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
 
     The appendix pass with the characteristic factor G(w) = exp(-tau V(-w))
     and no separate shift (the drift lives inside V).  With `slope` a second
-    triple follows for dN/dd from the same pass.
+    triple follows for dN/dd from the same pass.  For eta <= 1 the integrand
+    never decays, and DivergentIntegrandError is raised before any quadrature.
     """
     def g_fn(ws):
         return np.exp(-tau * _gamma_ratio_symbol(model, -np.atleast_1d(ws)))
 
     eta, sig, phi_dir = projection_params(model)
+    if eta <= 1.0:
+        raise DivergentIntegrandError(f"gamma-ratio integrand never decays at eta = {eta:g} <= 1 "
+                                      "(Re V(k) ~ -cos(pi eta / 2) |k|^eta does not grow)")
     scale = (2.0 / (tau * phi_dir)) ** (1.0 / eta) / sig
 
     def envelope(th):
         return float(np.abs(g_fn(np.array([th + 1j * s])))[0])
 
-    rows = _theta_integral(lambda ths: (g_fn(ths + 1j * s), g_fn(-ths + 1j * s)),
-                           d, 0.0, scale, envelope, quad, slope)
+    rows = _theta_integral(lambda ths: g_fn(ths + 1j * s), d, 0.0, scale, envelope,
+                           quad, slope)
     first = complex(g_fn(np.array([1j * s]))[0])
     (val, err, tail), *slopes = rows
     return ([(0.5 * (first + val / np.pi), err / np.pi, tail / np.pi)]

@@ -12,14 +12,20 @@ from opstable import (
     LogCharFn,
     MarketModel,
     ModelValidationError,
+    OptionContract,
+    OptionStyle,
     SampledAngular,
     StableIndex,
+    UnsupportedRegimeError,
     char_fn,
     density,
+    hedge_and_portfolio,
     log_cf,
     log_cf_imag,
     matrix_power,
+    price_option,
 )
+from opstable.charfn import projection_params
 
 from conftest import (
     make_1d_model,
@@ -169,6 +175,50 @@ def test_gamma_ratio_requires_1d_pure_scaling():
                     index=StableIndex.scaling_rotation(0.8, 0.2),
                     logcf=LogCharFn(DirectionalPair(0.5, 0.5),
                                     continuation=ContinuationMode.GAMMA_RATIO))
+
+
+def test_sigma_is_read_only_copy():
+    mix = np.array([0.3, 0.4])
+    m = MarketModel(alpha=0.0, sigma=mix, rate=0.0, index=StableIndex.pure_scaling(2, 0.9),
+                    logcf=LogCharFn(ConstantAngular(0.5)))
+    with pytest.raises(ValueError):
+        m.sigma[0] = 1.0
+    mix[0] = 1.0  # the caller's array stays writable and is not shared
+    assert m.sigma[0] == 0.3
+
+
+class CountingAngular:
+    """Angular function that counts its calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __call__(self, theta):
+        self.calls += 1
+        return self.inner(theta)
+
+
+@pytest.mark.filterwarnings("ignore::opstable.errors.AccuracyWarning")
+@pytest.mark.parametrize("mode", list(ContinuationMode))
+def test_projection_constants_computed_once_per_model(mode):
+    angular = CountingAngular(DirectionalPair(0.5, 0.5))
+    m = MarketModel(alpha=0.03, sigma=[0.2], rate=0.05, index=StableIndex.pure_scaling(1, 1.7),
+                    logcf=LogCharFn(angular, continuation=mode))
+    angular.calls = 0  # construction probes the angular function for evenness
+    first = projection_params(m)
+    for strike in (0.8, 1.0, 1.2):
+        for style in OptionStyle:
+            contract = OptionContract(style, strike, 0.5)
+            price_option(m, contract, 1.0)
+            hedge_and_portfolio(m, contract, 1.0)
+    assert angular.calls == 1
+    assert projection_params(m) is first
+
+
+def test_projection_params_rejects_other_regimes():
+    with pytest.raises(UnsupportedRegimeError, match="pure-scaling regime"):
+        projection_params(make_rotation_model())
 
 
 # --- density ----------------------------------------------------------------

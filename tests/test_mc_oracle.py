@@ -14,6 +14,7 @@ from opstable import (
     char_fn,
     density,
     mc_price,
+    price_option,
     sample_stable,
     simulate_log_price,
 )
@@ -195,3 +196,19 @@ def test_sim_config_validation():
         SimConfig(n_paths=0)
     with pytest.raises(ModelValidationError):
         SimConfig(n_paths=10, block_size=0)
+
+
+def test_mc_price_capped_payoff_overflow_is_silent():
+    # D*mu near 1 puts the tail cap far beyond log(float max): some capped
+    # S_T are inf, so a call's raw capped mean is inf; its parity price is not
+    m = make_1d_model(0.973, sigma=0.515, rate=0.05)
+    cfg = SimConfig(n_paths=400_000, master_seed=3)
+    put, call = (mc_price(m, OptionContract(style, 227.8, 0.0735), 100.0, 0.0, cfg)
+                 for style in (OptionStyle.PUT, OptionStyle.CALL))
+    assert put.price == put.raw_price == 126.09594759196597  # unchanged by the fix
+    assert call.raw_price == np.inf
+    assert call.price == pytest.approx(put.price + 100.0 - 227.8 * np.exp(-0.05 * 0.0735),
+                                       abs=1e-9)
+    for res, style in ((put, OptionStyle.PUT), (call, OptionStyle.CALL)):
+        fourier = price_option(m, OptionContract(style, 227.8, 0.0735), 100.0).price
+        assert abs(res.price - fourier) <= 3 * res.stderr

@@ -19,6 +19,7 @@ from opstable import (
     black_scholes_price,
     hamiltonian,
     hedge_and_portfolio,
+    log_cf_complex,
     log_cf_imag,
     m_factors,
     n_factor,
@@ -27,7 +28,8 @@ from opstable import (
     payoff_transform,
     price_option,
 )
-from opstable.pricer import _n_factor_hamiltonian
+from opstable import pricer
+from opstable.pricer import _gamma_ratio_symbol, _n_factor_hamiltonian
 
 from conftest import e_coefficient_series, fd_hedge, make_1d_model, make_rotation_model
 
@@ -153,6 +155,24 @@ def test_m_factors_definition_sum_mu_15():
     m1, m2 = m_factors(m, theta, s, tau)
     assert m1 == pytest.approx(f[0] + f[1], rel=1e-14)
     assert m2 == pytest.approx(f[0] - f[1], rel=1e-14)
+
+
+@pytest.mark.parametrize("mu", [2.0, 1.9, 1.7, 1.5, 1.2])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_shifted_factor_is_conjugate_symmetric(mu, s):
+    # F(-theta + is) == conj F(theta + is) exactly, so each theta-node needs
+    # one evaluation; at s = 0 F is real and only the sign of its zero
+    # imaginary part may differ, which == ignores
+    tau = 0.5
+    thetas = np.geomspace(1e-6, 1e3, 2000)
+    appendix = make_1d_model(mu)
+    gamma = make_1d_model(mu, mode=ContinuationMode.GAMMA_RATIO)
+    for factor in (lambda w: np.exp(-tau * log_cf_complex(appendix, w)),
+                   lambda w: np.exp(-tau * _gamma_ratio_symbol(gamma, -w))):
+        plus, minus = factor(thetas + 1j * s), factor(-thetas + 1j * s)
+        assert np.all(np.isfinite(plus))
+        assert np.array_equal(minus.real, plus.real)
+        assert np.array_equal(minus.imag, -plus.imag)
 
 
 # --- N factors --------------------------------------------------------------------
@@ -281,6 +301,20 @@ def test_gamma_ratio_price_is_real_and_sane():
     assert rep.mode == "gamma_ratio"
     assert rep.imag_residue <= 1e-8
     assert 0.0 < rep.price < 1.0
+
+
+@pytest.mark.parametrize("mu", [0.9, 1.0])
+@pytest.mark.parametrize("route", [price_option, hedge_and_portfolio])
+def test_gamma_ratio_without_decay_raises_before_quadrature(monkeypatch, mu, route):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a quadrature pass ran")
+
+    monkeypatch.setattr(pricer, "half_line_pass", no_pass)
+    m = make_1d_model(mu, mode=ContinuationMode.GAMMA_RATIO)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentIntegrandError, match=f"eta = {mu:g} <= 1"):
+            route(m, OptionContract(OptionStyle.CALL, 1.0, 0.5), 1.0)
 
 
 @pytest.mark.parametrize("mu, tau", [(1.2, 0.5), (1.5, 0.25), (2.0, 0.02)])
