@@ -57,8 +57,6 @@ from .pricer import (
     hedge_and_portfolio,
     m_factors,
     n_factor,
-    n_factor_appendix,
-    n_factor_direct,
     payoff_transform,
     price_option,
 )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -221,9 +220,6 @@ def _report_dict(rep: pricer.PriceReport, extra: dict | None = None) -> dict:
         "quadrature_error": rep.quadrature_error,
         "mode": rep.mode,
     }
-    if rep.hedge is not None:
-        out["hedge"] = rep.hedge
-        out["portfolio"] = rep.portfolio
     if extra:
         out.update(extra)
     return out
@@ -242,23 +238,26 @@ def _cmd_price(args) -> int:
         for maturity in maturities:
             contract = pricer.OptionContract(style, strike, maturity)
             rep = pricer.price_option(model, contract, args.spot, args.time, quad)
+            hedge = {}
             if args.hedge:
                 hr = pricer.hedge_and_portfolio(model, contract, args.spot, args.time, quad)
-                rep = dataclasses.replace(rep, hedge=hr.n_s, portfolio=hr.portfolio)
-            rows.append((strike, maturity, rep))
+                hedge = {"hedge": hr.n_s, "portfolio": hr.portfolio}
+            rows.append((strike, maturity, rep, hedge))
 
     if args.out == "json":
         if len(rows) == 1:
-            payload = _report_dict(rows[0][2], {"strike": rows[0][0], "maturity": rows[0][1],
-                                                "spot": args.spot, "style": style.value})
+            k, m, rep, hedge = rows[0]
+            payload = _report_dict(rep, {**hedge, "strike": k, "maturity": m,
+                                         "spot": args.spot, "style": style.value})
         else:
-            payload = [_report_dict(rep, {"strike": k, "maturity": m}) for k, m, rep in rows]
+            payload = [_report_dict(rep, {**hedge, "strike": k, "maturity": m})
+                       for k, m, rep, hedge in rows]
         _print_json(payload)
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["strike", "maturity", "price", "n1_re", "n1_im", "n2_re", "n2_im",
                          "d1_re", "d1_im", "imag_residue", "quadrature_error", "mode"])
-        for k, mat, rep in rows:
+        for k, mat, rep, _ in rows:
             writer.writerow([k, mat, rep.price, rep.n1.real, rep.n1.imag, rep.n2.real,
                              rep.n2.imag, rep.d1.real, rep.d1.imag, rep.imag_residue,
                              rep.quadrature_error, rep.mode])
@@ -314,9 +313,8 @@ def _cmd_mc(args) -> int:
     res = mc_oracle.mc_price(model, contract, args.spot, args.time, cfg)
     _print_json({
         "price": res.price, "stderr": res.stderr, "n_paths": res.n_paths,
-        "seed": res.seed, "measure": res.measure, "cap_impact": res.cap_impact,
-        "stderr_unstable": res.stderr_unstable, "raw_price": res.raw_price,
-        "estimator": res.estimator,
+        "seed": res.seed, "measure": res.measure,
+        "stderr_unstable": res.stderr_unstable, "estimator": res.estimator,
     })
     return 0
 
@@ -420,8 +418,8 @@ def _suite_appendix(model, quad, args):
     if abs(complex(z).imag) < 1e-13:
         worst = 0.0
         for d in (-0.3, 0.2, 0.8):
-            a, _ = pricer.n_factor_appendix(model, 0.0, d, z, tau, quad)
-            b, _ = pricer.n_factor_direct(model, 0.0, d, z, tau, quad)
+            a, _ = pricer.n_factor(model, 0.0, d, z, tau, quad, method="appendix")
+            b, _ = pricer.n_factor(model, 0.0, d, z, tau, quad, method="direct")
             worst = max(worst, abs(a.real - b.real))
         checks.append(("appendix vs direct CDF factor", worst, 1e-6, worst <= 1e-6))
     return checks

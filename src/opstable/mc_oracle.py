@@ -14,13 +14,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, ndtri
 
 from .charfn import EigenWeightAngular, MarketModel, log_cf_imag, projection_params
 from .errors import DomainError, ModelValidationError, UnsupportedRegimeError
 from .stable_index import Regime
-
-_CAP_QUANTILE = 1e-8
 
 
 class Measure(str, enum.Enum):
@@ -48,10 +45,9 @@ class SimConfig:
 class McResult:
     """Discounted-payoff estimate with its sampling diagnostics.
 
-    `raw_price` is the plain capped-payoff mean; `price` replaces the
-    unbounded forward component of a call by its exact martingale value
-    (see mc_price).  `estimator` records which decomposition produced
-    `price`.
+    `price` is the discounted mean put payoff, plus spot - K e^{-r tau} for
+    a call (see mc_price); `estimator` records which of the two it is, and
+    `stderr` and `stderr_unstable` describe the put-payoff array behind it.
     """
 
     price: float
@@ -59,9 +55,7 @@ class McResult:
     n_paths: int
     seed: int
     measure: str
-    cap_impact: float
     stderr_unstable: bool
-    raw_price: float
     estimator: str
 
 
@@ -161,21 +155,6 @@ def simulate_log_price(model: MarketModel, tau: float, cfg: SimConfig) -> np.nda
     return x
 
 
-def _tail_quantile(model: MarketModel, tau: float, p: float) -> float:
-    """Two-sided |X| quantile at level 1 - p for the projected terminal law.
-
-    Gaussian: exact; stable: the first-order Pareto tail asymptote, which is
-    accurate far in the tail (p ~ 1e-8).
-    """
-    eta, sig, phi_dir = projection_params(model)
-    scale = sig * (phi_dir * tau) ** (1.0 / eta)
-    if abs(eta - 2.0) < 1e-12:
-        # variance of the terminal law is 2 scale^2
-        return float(np.sqrt(2.0) * scale * ndtri(1.0 - p / 2))
-    c_eta = _gamma(eta) * np.sin(np.pi * eta / 2) / np.pi
-    return float(scale * (2.0 * c_eta / p) ** (1.0 / eta))
-
-
 def _stderr_diagnostics(pay: np.ndarray, disc: float) -> tuple[float, bool]:
     """Plain stderr plus an instability flag.
 
@@ -205,22 +184,21 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
 
     S_T = spot * exp(r tau + phi(-i sigma) tau + sigma . L_tau), which makes
     the discounted price a martingale under the continued-value compensation.
-    |sigma . L_tau| is capped at its 1 - 1e-8 quantile (documented; the
-    cap's price impact is reported).
+    The draws of sigma . L_tau are used as sampled, with no cap.
 
-    For a call the raw payoff has infinite mean under a heavy-tailed
-    terminal law, so the reported price uses the pathwise identity
-    (S_T - K)^+ = (K - S_T)^+ + S_T - K and replaces the unbounded forward
-    component by its exact martingale expectation: price = mean(put payoff)
-    + spot - K e^{-r tau}.  That estimator has finite variance and targets
-    the same compensated expectation; the raw capped mean is still reported
-    as `raw_price`, with a stability flag for its standard error.  The cap
-    can itself lie beyond log(float max) (D*mu near 1), so a capped S_T may
-    overflow to inf: a put's payoff is then 0, a call's inf, and a call's
-    `raw_price` is inf while its parity price stays finite.
+    Every contract is priced from one array of put payoffs (K - S_T)^+.  A
+    put's price is its discounted mean.  A call's raw payoff has infinite
+    mean under a heavy-tailed terminal law, so its price uses the pathwise
+    identity (S_T - K)^+ = (K - S_T)^+ + S_T - K and replaces the unbounded
+    forward component by its exact martingale expectation: price =
+    mean(put payoff) + spot - K e^{-r tau}, which has finite variance and
+    targets the same compensated expectation.  Both get their stderr and
+    its stability flag from the put-payoff array.  A draw past
+    log(float max) makes S_T inf (D*mu near 1), and that path's put payoff
+    is then exactly 0.
 
-    The cap and the compensator need the pure-scaling regime; other regimes
-    raise UnsupportedRegimeError.
+    The compensator needs the pure-scaling regime; other regimes raise
+    UnsupportedRegimeError.
     """
     if cfg.measure is not Measure.COMPENSATED:
         raise DomainError("risk-neutral pricing requires the compensated measure")
@@ -231,48 +209,23 @@ def mc_price(model: MarketModel, contract, spot: float, t: float,
         raise DomainError("pricing requires t < maturity")
     if model.index.regime is not Regime.PURE_SCALING:
         raise UnsupportedRegimeError(
-            "Monte-Carlo pricing needs the pure-scaling regime: the tail cap "
-            "(_tail_quantile) and the compensator phi(-i sigma) (log_cf_imag) are "
-            "defined only for a projected law with one stable exponent "
-            f"(regime here: {model.index.regime.value}; simulate_log_price still "
-            "samples generic-regime terminal laws)"
+            "Monte-Carlo pricing needs the pure-scaling regime: the compensator "
+            "phi(-i sigma) (log_cf_imag) is defined only for a projected law with one "
+            f"stable exponent (regime here: {model.index.regime.value}; "
+            "simulate_log_price still samples generic-regime terminal laws)"
         )
 
     x = simulate_log_price(model, tau, cfg)
-    cap = _tail_quantile(model, tau, _CAP_QUANTILE)
-    x_capped = np.clip(x, -cap, cap)
-
     drift = model.rate * tau + float(np.real(log_cf_imag(model, 1.0))) * tau
     disc = np.exp(-model.rate * tau)
-    is_put = getattr(contract.style, "value", contract.style) == "put"
-
-    def payoffs(values: np.ndarray, put: bool) -> np.ndarray:
-        with np.errstate(over="ignore"):  # see the docstring: S_T may be inf
-            s_t = spot * np.exp(drift + values)
-        if put:
-            return np.maximum(contract.strike - s_t, 0.0)
-        return np.maximum(s_t - contract.strike, 0.0)
-
-    raw = payoffs(x_capped, is_put)
-    raw_price = disc * float(np.mean(raw))
-    clipped = np.abs(x) > cap
-    if np.any(clipped):
-        gap = payoffs(x[clipped], is_put) - payoffs(x_capped[clipped], is_put)
-        cap_impact = disc * float(np.sum(gap)) / cfg.n_paths
+    with np.errstate(over="ignore"):  # see the docstring: S_T may be inf
+        put = np.maximum(contract.strike - spot * np.exp(drift + x), 0.0)
+    stderr, unstable = _stderr_diagnostics(put, disc)
+    if getattr(contract.style, "value", contract.style) == "put":
+        price, estimator = disc * float(np.mean(put)), "direct"
     else:
-        cap_impact = 0.0
-
-    if is_put:
-        stderr, unstable = _stderr_diagnostics(raw, disc)
-        price = raw_price
-        estimator = "direct"
-    else:
-        put_leg = payoffs(x_capped, True)
-        stderr, unstable = _stderr_diagnostics(put_leg, disc)
-        price = disc * float(np.mean(put_leg)) + spot - contract.strike * disc
-        estimator = "parity"
+        price, estimator = disc * float(np.mean(put)) + spot - contract.strike * disc, "parity"
 
     return McResult(price=price, stderr=stderr, n_paths=cfg.n_paths,
                     seed=cfg.master_seed, measure=cfg.measure.value,
-                    cap_impact=cap_impact, stderr_unstable=unstable,
-                    raw_price=raw_price, estimator=estimator)
+                    stderr_unstable=unstable, estimator=estimator)

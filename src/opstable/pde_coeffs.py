@@ -68,6 +68,12 @@ def s_coefficient(model: MarketModel, n: int) -> complex:
     return total
 
 
+def _levy_constant(eta: float, sig: float, phi_dir: float) -> float:
+    """phi_dir |sigma|^eta (-sin(pi eta / 2) Gamma(1 + eta) / pi): the factor of
+    xi^(-eta-1) in the Levy density (see levy_density)."""
+    return phi_dir * sig ** eta * (-np.sin(np.pi * eta / 2) * _gamma(1.0 + eta) / np.pi)
+
+
 def levy_density(model: MarketModel, xi: float) -> float:
     """Pointwise inverse-Laplace density of phi for 1-D pure scaling.
 
@@ -85,8 +91,7 @@ def levy_density(model: MarketModel, xi: float) -> float:
         raise DomainError("the Levy density is defined for xi > 0")
     if abs(eta - 2.0) < 1e-12:
         raise UnsupportedRegimeError("eta = 2 is a derivative of a delta, not a density")
-    const = -np.sin(np.pi * eta / 2) * _gamma(1.0 + eta) / np.pi
-    return float(phi_dir * sig ** eta * const * xi ** (-eta - 1.0))
+    return float(_levy_constant(eta, sig, phi_dir) * xi ** (-eta - 1.0))
 
 
 def _levy_integral(model: MarketModel, weight, xi_lo: float, xi_hi: float,
@@ -99,7 +104,7 @@ def _levy_integral(model: MarketModel, weight, xi_lo: float, xi_hi: float,
     if not 0 <= xi_lo < xi_hi:
         raise DomainError("need 0 <= xi_lo < xi_hi")
     eta, sig, phi_dir = projection_params(model)
-    const = phi_dir * sig ** eta * (-np.sin(np.pi * eta / 2) * _gamma(1.0 + eta) / np.pi)
+    const = _levy_constant(eta, sig, phi_dir)
     u_lo = np.log(xi_lo) if xi_lo > 0 else np.log(xi_hi) - 120.0
     edges = panel_edges(np.log(xi_hi), 0.5, 1.0 + 1e-9, 0.5, x_start=u_lo)
 
@@ -121,7 +126,7 @@ def truncated_laplace_phi(model: MarketModel, q: float, xi_lo: float, xi_hi: flo
     """
     if q == 0.0:
         eta, sig, phi_dir = projection_params(model)
-        const = phi_dir * sig ** eta * (-np.sin(np.pi * eta / 2) * _gamma(1.0 + eta) / np.pi)
+        const = _levy_constant(eta, sig, phi_dir)
         if xi_lo <= 0:
             raise DomainError("the q = 0 truncated integral needs xi_lo > 0")
         return float(const * (xi_lo ** -eta - xi_hi ** -eta) / eta)
@@ -166,7 +171,7 @@ def e_coefficient(model: MarketModel, n: int, cutoff: float) -> float:
         # the eta = 2 density is a derivative of a delta at the origin; its
         # pointwise part on (0, cutoff] vanishes identically
         return 0.0
-    const = phi_dir * sig ** eta * (-np.sin(np.pi * eta / 2) * _gamma(1.0 + eta) / np.pi)
+    const = _levy_constant(eta, sig, phi_dir)
     if n == 1:
         # compensated integrand ~ xi^2/2 at the origin; the [0, xi_s] piece is
         # summed analytically to dodge the expm1(-xi) + xi float cancellation
@@ -203,7 +208,7 @@ def hamiltonian_tail_integral(model: MarketModel, k: float,
     if eta >= 2.0 - 1e-12:
         raise UnsupportedRegimeError("the resummed integral form needs 1 < eta < 2")
     hi = cutoff if np.isfinite(cutoff) else max(200.0, 40.0 * (1 + abs(k)))
-    const = phi_dir * sig ** eta * (-np.sin(np.pi * eta / 2) * _gamma(1.0 + eta) / np.pi)
+    const = _levy_constant(eta, sig, phi_dir)
     xi_s = min(1e-3 / max(1.0, abs(k)), hi / 2)
     head = 0.0 + 0.0j
     for m in range(2, 24):

@@ -84,8 +84,6 @@ class PriceReport:
     imag_residue: float
     quadrature_error: float
     mode: str
-    hedge: float | None = None
-    portfolio: float | None = None
 
 
 @dataclass(frozen=True)
@@ -266,23 +264,6 @@ def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: floa
                   for v, e, b in slopes]
 
 
-def n_factor_appendix(model: MarketModel, s: float, d: float, z: complex,
-                      tau: float, quad: QuadratureConfig = DEFAULT_QUADRATURE
-                      ) -> tuple[complex, float]:
-    """Cumulative factor N^(s)(d; z) by the contour-shifted theta-quadrature.
-
-    N = (e^{sz}/2) [ e^{-tau phi(i s sigma)} + (1/pi) int_0^inf
-        ( sin(theta(d+z_r))/theta * (cosh(theta z_i) M1 + sinh(theta z_i) M2)
-        + i cos(theta(d+z_r))/theta * (cosh(theta z_i) M2 + sinh(theta z_i) M1) ) dtheta ].
-
-    The cosh/sinh weights carry the exp(+-theta z_i) factors exactly onto
-    the two half-line branches; for real z they reduce to the plain M1/M2
-    combination.  Returns (value, error estimate).
-    """
-    (value, err, _), = _appendix_pass(model, s, d, z, tau, quad)
-    return value, err
-
-
 def _real_cf(model: MarketModel, tau: float):
     """Vectorized theta -> exp(-tau phi(sigma theta)) on the real axis."""
     eta, sig, phi_dir = projection_params(model)
@@ -343,46 +324,43 @@ def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: fl
     return out
 
 
-def n_factor_direct(model: MarketModel, s: float, d: float, z: complex, tau: float,
-                    quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple[complex, float]:
-    """Cumulative factor from absolutely convergent real-axis integrals.
-
-    s = 0: the CDF form  1/2 + (1/pi) int sin(theta(d+z))/theta CF dtheta.
-    s = 1: the complement form  1 - e^z T(d+z) with
-           T(y) = (e^{-y}/pi) int CF(theta) [cos(theta y) - theta sin(theta y)]
-                  / (1 + theta^2) dtheta,
-    both requiring a real shift z.  These are the integrals the compensated
-    Monte-Carlo construction estimates, so the two agree by construction.
-    """
-    if tau <= 0:
-        raise DomainError("n-factor requires tau > 0")
-    z = complex(z)
-    if abs(z.imag) > 1e-13:
-        raise DomainError("the direct route needs a real shift z (real-part mode)")
-    if s not in (0.0, 1.0, 0, 1):
-        raise DomainError("the direct route supports s in {0, 1}")
-    (value, err, _), = _direct_pass(model, (s,), d, z.real, tau, quad)
-    return value, err
-
-
 def n_factor(model: MarketModel, s: float, d: float, z: complex, tau: float,
              quad: QuadratureConfig = DEFAULT_QUADRATURE,
              method: str = "auto") -> tuple[complex, float]:
     """Cumulative pricing factor N^(s)(d; z) with an error estimate.
 
-    method "appendix" forces the contour-shifted quadrature, "direct" the
-    absolutely convergent real-axis route (real z, s in {0, 1});
-    "auto" picks direct when it applies.
+    method "appendix" is the contour-shifted theta-quadrature
+        N = (e^{sz}/2) [ e^{-tau phi(i s sigma)} + (1/pi) int_0^inf
+            ( sin(theta(d+z_r))/theta * (cosh(theta z_i) M1 + sinh(theta z_i) M2)
+            + i cos(theta(d+z_r))/theta * (cosh(theta z_i) M2 + sinh(theta z_i) M1) ) dtheta ],
+    whose cosh/sinh weights carry the exp(+-theta z_i) factors exactly onto
+    the two half-line branches; for real z they reduce to the plain M1/M2
+    combination.  method "direct" uses absolutely convergent real-axis
+    integrals, which need a real shift z and s in {0, 1}:
+        s = 0: the CDF form  1/2 + (1/pi) int sin(theta(d+z))/theta CF dtheta;
+        s = 1: the complement form  1 - e^z T(d+z) with
+               T(y) = (e^{-y}/pi) int CF(theta) [cos(theta y) - theta sin(theta y)]
+                      / (1 + theta^2) dtheta.
+    These are the integrals the compensated Monte-Carlo construction
+    estimates, so the two agree by construction.  "auto" picks direct when
+    it applies.
     """
-    if method == "appendix":
-        return n_factor_appendix(model, s, d, z, tau, quad)
-    if method == "direct":
-        return n_factor_direct(model, s, d, z, tau, quad)
-    if method != "auto":
+    if method not in ("auto", "appendix", "direct"):
         raise DomainError(f"unknown n-factor method '{method}'")
-    if abs(complex(z).imag) < 1e-13 and s in (0.0, 1.0, 0, 1):
-        return n_factor_direct(model, s, d, z, tau, quad)
-    return n_factor_appendix(model, s, d, z, tau, quad)
+    if tau <= 0:
+        raise DomainError("n-factor requires tau > 0")
+    z = complex(z)
+    if method == "auto":
+        method = "direct" if abs(z.imag) < 1e-13 and s in (0, 1) else "appendix"
+    if method == "appendix":
+        (value, err, _), = _appendix_pass(model, s, d, z, tau, quad)
+        return value, err
+    if abs(z.imag) > 1e-13:
+        raise DomainError("the direct route needs a real shift z (real-part mode)")
+    if s not in (0, 1):
+        raise DomainError("the direct route supports s in {0, 1}")
+    (value, err, _), = _direct_pass(model, (s,), d, z.real, tau, quad)
+    return value, err
 
 
 # --------------------------------------------------------------------------

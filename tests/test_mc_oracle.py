@@ -133,14 +133,13 @@ def test_rotation_regime_sampling_unsupported():
 
 
 def test_mc_price_generic_regime_names_the_real_cause():
-    # the generic model samples fine; pricing stops at the pure-scaling tail
-    # cap and compensator, and says so
+    # the generic model samples fine; pricing stops at the pure-scaling
+    # compensator, and says so
     m = make_generic_model()
     assert simulate_log_price(m, 0.25, SimConfig(n_paths=10)).shape == (10,)
     c = OptionContract(OptionStyle.CALL, 1.0, 0.25)
-    with pytest.raises(UnsupportedRegimeError, match="tail cap") as exc:
+    with pytest.raises(UnsupportedRegimeError, match="compensator") as exc:
         mc_price(m, c, 1.0, 0.0, SimConfig(n_paths=10))
-    assert "compensator" in str(exc.value)
     assert "analytic continuation" not in str(exc.value)
 
 
@@ -181,14 +180,12 @@ def test_mc_put_direct_estimator(gaussian_model):
     assert abs(res.price - want) <= 3 * res.stderr
 
 
-def test_mc_raw_call_estimator_flagged_unstable_for_heavy_tails():
+def test_mc_heavy_tail_call_uses_the_parity_estimator():
     m = make_1d_model(1.5, sigma=0.2)
     c = OptionContract(OptionStyle.CALL, 1.0, 0.25)
     res = mc_price(m, c, 1.0, 0.0, SimConfig(n_paths=200_000, master_seed=12))
     assert res.estimator == "parity"
     assert np.isfinite(res.price)
-    # the raw capped mean is reported alongside and is wildly unstable here
-    assert res.raw_price >= 0
 
 
 def test_sim_config_validation():
@@ -198,17 +195,40 @@ def test_sim_config_validation():
         SimConfig(n_paths=10, block_size=0)
 
 
-def test_mc_price_capped_payoff_overflow_is_silent():
-    # D*mu near 1 puts the tail cap far beyond log(float max): some capped
-    # S_T are inf, so a call's raw capped mean is inf; its parity price is not
+def test_mc_price_overflowing_paths_are_silent():
+    # at D*mu near 1 some draws lie beyond log(float max): those S_T are inf,
+    # their put payoff is 0, and the parity call price stays finite
     m = make_1d_model(0.973, sigma=0.515, rate=0.05)
     cfg = SimConfig(n_paths=400_000, master_seed=3)
+    assert simulate_log_price(m, 0.0735, cfg).max() > np.log(np.finfo(float).max)
     put, call = (mc_price(m, OptionContract(style, 227.8, 0.0735), 100.0, 0.0, cfg)
                  for style in (OptionStyle.PUT, OptionStyle.CALL))
-    assert put.price == put.raw_price == 126.09594759196597  # unchanged by the fix
-    assert call.raw_price == np.inf
+    assert put.price == 126.09594759196597
     assert call.price == pytest.approx(put.price + 100.0 - 227.8 * np.exp(-0.05 * 0.0735),
                                        abs=1e-9)
     for res, style in ((put, OptionStyle.PUT), (call, OptionStyle.CALL)):
         fourier = price_option(m, OptionContract(style, 227.8, 0.0735), 100.0).price
         assert abs(res.price - fourier) <= 3 * res.stderr
+
+
+# Pinned (price, stderr) of the 2e5-path seed-26 estimates.  Call and put
+# share one put-payoff array, so they share a stderr.
+@pytest.mark.parametrize("mu, style, price, stderr", [
+    (2.0, "call", 0.04598639362138335, 0.0001885999577971253),
+    (2.0, "put", 0.07006180125113265, 0.0001885999577971253),
+    (1.9, "call", 0.04683332198245882, 0.00019604418931765764),
+    (1.9, "put", 0.07090872961220829, 0.00019604418931765764),
+    (1.7, "call", 0.04862913681844172, 0.00021378889542183091),
+    (1.7, "put", 0.07270454444819108, 0.00021378889542183091),
+    (1.5, "call", 0.04998148308215189, 0.00023465116227640875),
+    (1.5, "put", 0.07405689071190118, 0.00023465116227640875),
+    (1.2, "call", 0.04910969471256599, 0.00027397825895250465),
+    (1.2, "put", 0.07318510234231537, 0.00027397825895250465),
+])
+def test_mc_price_pinned_values(mu, style, price, stderr):
+    c = OptionContract(OptionStyle(style), 1.05, 0.5)
+    res = mc_price(make_1d_model(mu), c, 1.0, 0.0, SimConfig(n_paths=200_000, master_seed=26))
+    assert (res.price, res.stderr) == (price, stderr)
+    assert isinstance(res.price, float) and isinstance(res.stderr, float)
+    assert res.estimator == ("direct" if style == "put" else "parity")
+    assert not res.stderr_unstable

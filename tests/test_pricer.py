@@ -23,8 +23,6 @@ from opstable import (
     log_cf_imag,
     m_factors,
     n_factor,
-    n_factor_appendix,
-    n_factor_direct,
     payoff_transform,
     price_option,
 )
@@ -185,8 +183,8 @@ def test_n_factor_gaussian_identity(gaussian_model):
         tau = rng.uniform(0.05, 2.0)
         z = -0.5 * V_RATE * tau
         want = gaussian_n_oracle(s, d, tau)
-        got_a, _ = n_factor_appendix(gaussian_model, s, d, z, tau)
-        got_d, _ = n_factor_direct(gaussian_model, s, d, z, tau)
+        got_a, _ = n_factor(gaussian_model, s, d, z, tau, method="appendix")
+        got_d, _ = n_factor(gaussian_model, s, d, z, tau, method="direct")
         assert abs(got_a - want) <= 1e-8
         assert abs(got_d - want) <= 1e-8
 
@@ -202,8 +200,8 @@ def test_n_factor_appendix_equals_direct_for_cdf(stable_model_17):
     tau = 0.4
     z = complex(log_cf_imag(stable_model_17, 1.0)) * tau
     for d in (-0.6, 0.0, 0.45):
-        a, _ = n_factor_appendix(stable_model_17, 0.0, d, z, tau)
-        b, _ = n_factor_direct(stable_model_17, 0.0, d, z, tau)
+        a, _ = n_factor(stable_model_17, 0.0, d, z, tau, method="appendix")
+        b, _ = n_factor(stable_model_17, 0.0, d, z, tau, method="direct")
         assert abs(a.real - b.real) <= 1e-10
 
 
@@ -213,12 +211,12 @@ def test_n_factor_divergence_guard():
     m = make_1d_model(1.2, mode=ContinuationMode.PRINCIPAL_COMPLEX)
     z = complex(log_cf_imag(m, 1.0)) * 0.5
     with pytest.raises(DivergentIntegrandError):
-        n_factor_appendix(m, 1.0, 0.1, z - 5.0j, 0.5)
+        n_factor(m, 1.0, 0.1, z - 5.0j, 0.5, method="appendix")
 
 
 def test_n_factor_direct_needs_real_shift(stable_model_17):
     with pytest.raises(DomainError):
-        n_factor_direct(stable_model_17, 1.0, 0.1, 0.1 + 0.2j, 0.5)
+        n_factor(stable_model_17, 1.0, 0.1, 0.1 + 0.2j, 0.5, method="direct")
 
 
 # --- price ------------------------------------------------------------------------
