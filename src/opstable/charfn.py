@@ -287,11 +287,6 @@ def projection_params(model: MarketModel) -> tuple[float, float, float]:
     return model.projection
 
 
-def is_gaussian(model: MarketModel) -> bool:
-    eta, _, _ = projection_params(model)
-    return abs(eta - 2.0) < 1e-12
-
-
 def log_cf_complex(model: MarketModel, w) -> complex:
     """phi continued to complex scalar arguments of the projected law.
 
@@ -418,9 +413,3 @@ def density(model: MarketModel, xi: float, tau: float,
         edges = panel_edges(64.0 * scale, first_width, quad.panel_growth, max_width)
         val, _ = integrate_panels(integrand, edges, quad.nodes_per_panel)
     return float(val.real) / np.pi
-
-
-def density_grid(model: MarketModel, xis, tau: float,
-                 quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Density evaluated on a grid of points (convenience wrapper)."""
-    return np.array([density(model, float(x), tau, quad) for x in np.asarray(xis)])

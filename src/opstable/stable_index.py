@@ -22,6 +22,8 @@ from .errors import (
 
 _UNITARY_TOL = 1e-12
 _DISTINCT_TOL = 1e-9
+_NEWTON_CAP = 50
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 class Regime(str, enum.Enum):
@@ -158,45 +160,47 @@ def matrix_power(index: StableIndex, r: float) -> np.ndarray:
     return out.real
 
 
-def _generic_log_radius(index: StableIndex, k: np.ndarray) -> float:
-    """Solve |r^{-E^T} k| = 1 for log r by bisection plus Newton polish."""
-    k_tilde = index.eigenbasis.conj().T @ k.astype(complex)
-    weights = np.abs(k_tilde) ** 2
-    thetas = np.array([ev.real for ev in index.eigenvalues])
+def _generic_log_radius(index: StableIndex, k_tilde: np.ndarray) -> float:
+    """Solve |r^{-E^T} k| = 1 for x = log r by a bracket-free Newton iteration.
 
-    def g(x: float) -> float:
-        # log |r^{-E^T} k|^2 evaluated stably at x = log r
-        expo = np.log(weights[weights > 0]) - 2 * thetas[weights > 0] * x
-        m = np.max(expo)
-        return m + np.log(np.sum(np.exp(expo - m)))
-
-    lo, hi = -50.0, 50.0
-    if g(lo) < 0 or g(hi) > 0:
-        raise DomainError("vector is too extreme for the Jurek radius bracket")
-    x = 0.0
-    for _ in range(200):
-        x = 0.5 * (lo + hi)
-        if g(x) > 0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo < 1e-14:
-            break
-    else:
-        raise NonConvergenceError("Jurek radius bisection did not converge in 200 iterations")
-    # Newton polish on g(x) = 0; g is strictly decreasing since all thetas > 0
-    for _ in range(6):
-        w = np.exp(np.log(weights[weights > 0]) - 2 * thetas[weights > 0] * x)
-        deriv = -2.0 * float(np.sum(thetas[weights > 0] * w) / np.sum(w))
-        step = g(x) / deriv
-        x -= step
-        if abs(step) < 1e-15:
-            break
-    return x
+    With k_tilde = O^dagger k, g(x) = log |r^{-E^T} k|^2 =
+    logsumexp_j(log w_j - 2 theta_j x), w_j = |k_tilde_j|^2, theta_j = Re lambda_j
+    > 0, is convex and strictly decreasing.  At x0 = max_j log(w_j)/(2 theta_j)
+    every term is <= 0 and one is 0, so g(x0) >= 0, and Newton's method from x0
+    rises monotonically to the root without overshooting.  log w_j is taken as
+    2 log|k_tilde_j| over the nonzero components, so underflowing squares
+    cannot empty the sum.  True steps are positive: the first signed step
+    <= 1e-15 max(1, |x|) means rounding has taken over, and ends the loop.
+    """
+    nonzero = k_tilde != 0
+    log_w = 2.0 * np.log(np.abs(k_tilde[nonzero]))
+    two_thetas = 2.0 * np.array([ev.real for ev in index.eigenvalues])[nonzero]
+    x = float(np.max(log_w / two_thetas))
+    for _ in range(_NEWTON_CAP):
+        expo = log_w - two_thetas * x
+        top = np.max(expo)
+        w = np.exp(expo - top)
+        total = np.sum(w)
+        # Newton step -g/g' with g' = -sum(2 theta_j w_j)/sum(w_j)
+        step = float((top + np.log(total)) * total / np.sum(two_thetas * w))
+        x += step
+        if step <= 1e-15 * max(1.0, abs(x)):
+            return x
+    raise NonConvergenceError(
+        f"Jurek radius Newton did not converge in {_NEWTON_CAP} iterations")
 
 
 def jurek_decompose(index: StableIndex, k) -> tuple[float, np.ndarray]:
-    """Polar-like coordinates k = radius^{E^T} angle with |angle| = 1."""
+    """Polar-like coordinates k = radius^{E^T} angle with |angle| = 1.
+
+    k is any real array-like of length D; returns (radius, angle) as a float
+    and a 1-D array.  Pure scaling and rotation have closed forms.  In the
+    generic regime the radius solves |radius^{-E^T} k| = 1 by the monotone
+    Newton of `_generic_log_radius`, and the solve and the angle share one
+    projection O^dagger k.  Raises DomainError for the zero vector and for a
+    radius past the float range, NonConvergenceError if the Newton exhausts
+    its iteration cap.
+    """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (index.dimension,):
         raise DomainError(f"vector must have dimension {index.dimension}")
@@ -211,9 +215,15 @@ def jurek_decompose(index: StableIndex, k) -> tuple[float, np.ndarray]:
         angle = _rotation(2 * index.rotation_rate * index.mu * np.log(norm)) @ (k / norm)
         return radius, angle
 
-    x = _generic_log_radius(index, k)
-    radius = float(np.exp(x))
-    lam = np.asarray(index.eigenvalues)
-    diag = np.exp(-lam * x)
-    angle = (index.eigenbasis * diag) @ (index.eigenbasis.conj().T @ k.astype(complex))
-    return radius, angle.real
+    k_tilde = index.eigenbasis.conj().T @ k.astype(complex)
+    x = _generic_log_radius(index, k_tilde)
+    if x > _LOG_FLOAT_MAX:
+        raise DomainError("the Jurek radius of this vector overflows a float")
+    # e^{-lambda_j x} k_tilde_j in log form: at the root its modulus is at most
+    # 1, while the factor alone can overflow at tiny k when the real parts are
+    # far apart; zero components stay zero
+    nonzero = k_tilde != 0
+    angle = np.zeros_like(k_tilde)
+    angle[nonzero] = np.exp(np.log(k_tilde[nonzero])
+                            - np.asarray(index.eigenvalues)[nonzero] * x)
+    return float(np.exp(x)), (index.eigenbasis @ angle).real

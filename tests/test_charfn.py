@@ -97,17 +97,25 @@ _REGIMES = {"pure_scaling": make_1d_model(1.5), "rotation": make_rotation_model(
 
 
 @settings(max_examples=60, deadline=None)
-@given(regime=st.sampled_from(sorted(_REGIMES)), log_norm=st.floats(-2.0, 1.5),
+@given(regime=st.sampled_from(sorted(_REGIMES)), log_norm=st.floats(-18.0, 15.0),
        angle=st.floats(0.0, 2 * np.pi), t=st.floats(1e-3, 10.0))
 def test_self_similarity_property(regime, log_norm, angle, t):
-    # phi_t(k) = phi_1(t^B k): char_fn(k, t) == char_fn(t^B k, 1), over the
-    # |k| range of test_self_similarity
+    # phi_t(k) = phi_1(t^B k): char_fn(k, t) == char_fn(t^B k, 1), for |k| from
+    # 1e-18, where the value is 1, to 1e15, where it is 0
     m = _REGIMES[regime]
     k = 10.0 ** log_norm * np.array([np.cos(angle), np.sin(angle)])[:m.index.dimension]
     rhs = char_fn(m, k, t)
     assume(rhs >= 1e-280)
     lhs = char_fn(m, matrix_power(m.index, t) @ k, 1.0)
     assert abs(lhs - rhs) <= 1e-10 * rhs
+
+
+@pytest.mark.filterwarnings("error")
+def test_generic_char_fn_at_extreme_k():
+    # the Jurek radius needs no bracket: values 1 and 0, not a DomainError
+    m = make_generic_model()
+    assert char_fn(m, [0.0, 1e-18], 1.0) == 1.0
+    assert char_fn(m, [0.0, 1e15], 1.0) == 0.0
 
 
 def test_epsilon_monotonicity():

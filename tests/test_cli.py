@@ -134,9 +134,11 @@ def test_generic_config_round_trip(generic_config_path):
     assert dump_config(model2, quad2) == dumped
 
 
-def test_validate_all_skips_inapplicable_suites(stable_config_path, capsys):
-    # gaussian-limit does not apply to mu = 1.7; it must skip, not fail
-    assert main(["validate", stable_config_path, "--suite", "all",
+@pytest.mark.parametrize("config", ["stable_config_path", "generic_config_path"])
+def test_validate_all_skips_inapplicable_suites(config, request, capsys):
+    # gaussian-limit does not apply to mu = 1.7, and neither it, appendix nor
+    # mc-cross to the generic regime; they must skip, not fail
+    assert main(["validate", request.getfixturevalue(config), "--suite", "all",
                  "--samples", "100", "--paths", "50000"]) == 0
     rows = json.loads(capsys.readouterr().out)
     statuses = {r["suite"]: r["status"] for r in rows}

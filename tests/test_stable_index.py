@@ -101,7 +101,7 @@ def test_jurek_recomposition_identity(index_factory):
     idx = index_factory()
     rng = np.random.RandomState(17)
     for _ in range(1000):
-        k = rng.standard_normal(idx.dimension) * 10 ** rng.uniform(-3, 3)
+        k = rng.standard_normal(idx.dimension) * 10 ** rng.uniform(-18, 15)
         if np.linalg.norm(k) == 0:
             continue
         radius, angle = jurek_decompose(idx, k)
@@ -117,6 +117,24 @@ def test_eigenvector_aligned_radius_is_power_law():
     k = 2.7 * direction
     radius, _ = jurek_decompose(idx, k)
     assert radius == pytest.approx(2.7 ** (1.0 / 0.8), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_generic_extreme_vectors():
+    # real parts 0.1 and 1.5 on the standard basis.  At k = (1e-30, 0) the
+    # second factor exp(1.5 * 690.8) overflows and meets a zero component; at
+    # k = (1e-30, 1e-320) the subnormal component sets r = c^(1/1.5) and its
+    # factor exp(736.8) overflows; at k = (1e40, 0) the radius e^921 is past
+    # the float range
+    idx = StableIndex.generic([0.1, 1.5], np.eye(2))
+    radius, angle = jurek_decompose(idx, [1e-30, 0.0])
+    assert radius == pytest.approx(1e-300, rel=1e-12)
+    assert angle == pytest.approx([1.0, 0.0], rel=1e-12)
+    radius, angle = jurek_decompose(idx, [1e-30, 1e-320])
+    assert radius == pytest.approx(1e-320 ** (1 / 1.5), rel=1e-12)
+    assert angle[1] == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(DomainError):
+        jurek_decompose(idx, [1e40, 0.0])
 
 
 def test_zero_vector_rejected():
