@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import (
     AccuracyError,
@@ -253,18 +253,12 @@ def _sphere_probe(dimension: int):
 def log_cf(model: MarketModel, k) -> float:
     """phi(k) = r_k * angular(theta_k), with the exp(-eps/|k|) damping."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    norm = float(np.linalg.norm(k))
-    if norm == 0.0:
+    if not any(k):
         return 0.0
-    index = model.index
-    if index.regime is Regime.PURE_SCALING:
-        radius = norm ** index.scaling_exponent
-        angle = k / norm
-    else:
-        radius, angle = jurek_decompose(index, k)
+    radius, angle = jurek_decompose(model.index, k)
     val = radius * model.logcf.angular(angle)
     if model.logcf.epsilon > 0:
-        val *= np.exp(-model.logcf.epsilon / norm)
+        val *= np.exp(-model.logcf.epsilon / math.hypot(*k))
     return float(val)
 
 
@@ -308,6 +302,54 @@ def log_cf_imag_upper(model: MarketModel, s: float) -> complex:
     return phi_dir * (sig * abs(s)) ** eta * np.exp(1j * np.pi * eta / 2 * np.sign(s))
 
 
+# Bernoulli numbers B_0, B_2, ..., B_14
+_BERNOULLI_EVEN = (1.0, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_GAMMA_RATIO_SHIFT = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_ratio_series(eta: float) -> tuple:
+    """Coefficients c_14, c_12, ..., c_2 of the centred gamma-ratio series.
+
+    With a = eta/2, log Gamma(zeta + a) / Gamma(zeta + 1 - a) =
+    (eta - 1) log zeta + sum_n c_n zeta^-n, c_n = -2 B_{n+1}(a) / (n (n+1))
+    for even n; the odd-n terms cancel because a + (1 - a) = 1 (Tricomi and
+    Erdelyi 1951, Fields 1966).  B_{n+1}(a) is expanded about 1/2, where
+    B_k(1/2) = (2^(1-k) - 1) B_k vanishes for odd k, so |a - 1/2| <= 1/2
+    keeps the sum free of cancellation.  Highest order first, for Horner.
+    """
+    t = 0.5 * eta - 0.5
+    coeffs = []
+    for n in range(14, 0, -2):
+        bern = sum(math.comb(n + 1, 2 * j) * (2.0 ** (1 - 2 * j) - 1.0) * b * t ** (n + 1 - 2 * j)
+                   for j, b in enumerate(_BERNOULLI_EVEN[:n // 2 + 1]))
+        coeffs.append(-2.0 * bern / (n * (n + 1)))
+    return tuple(coeffs)
+
+
+def gamma_ratio(w, eta: float):
+    """w Gamma(w + eta) / Gamma(w + 1), for Re w >= 0.
+
+    That is Gamma(w + eta) / Gamma(w) with the pole at w = 0 removed, so it
+    is exactly 0 there.  w is a scalar (float or complex) or an array; the
+    same arithmetic serves both.  Eight steps of the recurrence
+    Gamma(x + 1) = x Gamma(x) move the argument to zeta = w + 8 + eta/2 with
+    |zeta| >= 8, where the centred series of `_gamma_ratio_series` reaches
+    double precision in seven even terms.  Nothing large is subtracted,
+    unlike a difference of two log-Gammas, each of size |w| log |w|.
+    """
+    ratio = w
+    for j in range(_GAMMA_RATIO_SHIFT):
+        ratio = ratio * (w + (1.0 + j)) / (w + (eta + j))
+    zeta = w + (_GAMMA_RATIO_SHIFT + 0.5 * eta)
+    u = 1.0 / (zeta * zeta)
+    c_top, *coeffs = _gamma_ratio_series(eta)
+    series = c_top
+    for c in coeffs:
+        series = series * u + c
+    return ratio * np.exp((eta - 1.0) * np.log(zeta) + series * u)
+
+
 def log_cf_imag(model: MarketModel, s: float) -> complex:
     """Analytic continuation phi(-i s sigma), per the model's continuation mode.
 
@@ -315,8 +357,8 @@ def log_cf_imag(model: MarketModel, s: float) -> complex:
     of (k^2)^(eta/2) at k = -is continued from Re k > 0 (conjugate for s < 0).
     REAL_PART: the real part of that value, phi_dir (sigma |s|)^eta cos(pi eta / 2).
     GAMMA_RATIO (1-D pure scaling, s >= 0): -(1/2) phi_dir sigma^eta
-    Gamma(s + eta) / Gamma(s); the 1/2 normalization follows the sketched
-    substitution verbatim and is flagged in the docs.
+    Gamma(s + eta) / Gamma(s), by `gamma_ratio`; the 1/2 normalization
+    follows the sketched substitution verbatim and is flagged in the docs.
     """
     eta, sig, phi_dir = projection_params(model)
     mode = model.logcf.continuation
@@ -325,9 +367,7 @@ def log_cf_imag(model: MarketModel, s: float) -> complex:
     if mode is ContinuationMode.GAMMA_RATIO:
         if s < 0:
             raise DomainError("gamma-ratio continuation is defined for s >= 0")
-        # Gamma(s + eta) / Gamma(s) written with the pole at s = 0 removed
-        ratio = _gamma(s + eta) * s / _gamma(s + 1.0)
-        return complex(-0.5 * phi_dir * sig ** eta * ratio)
+        return complex(-0.5 * phi_dir * sig ** eta * gamma_ratio(float(s), eta))
     mag = phi_dir * (sig * abs(s)) ** eta
     if mode is ContinuationMode.REAL_PART:
         return complex(mag * np.cos(np.pi * eta / 2))

@@ -7,10 +7,10 @@ provided for all three scaling regimes, with exact existence checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .charfn import (
     MarketModel,
@@ -235,9 +235,14 @@ def moment_prefactor(beta: float, rho: float) -> float:
     for ratio in (beta / rho, beta / 2.0):
         if abs(ratio - round(ratio)) < _INT_TOL and round(ratio) >= 0:
             raise DomainError("Gamma pole: beta/rho and beta/2 must not be nonnegative integers")
-    val = (2.0 ** (beta + 1) / (rho * np.sqrt(np.pi))
-           * _gamma((beta + 1) / 2) * _gamma(-beta / rho) / _gamma(-beta / 2))
-    return float(val)
+    try:
+        val = (2.0 ** (beta + 1) / (rho * np.sqrt(np.pi))
+               * math.gamma((beta + 1) / 2) * math.gamma(-beta / rho) / math.gamma(-beta / 2))
+    except (OverflowError, ZeroDivisionError):  # a Gamma past the float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise DomainError(f"the prefactor overflows a float at beta = {beta:g}, rho = {rho:g}")
+    return val
 
 
 def _support_factor(beta: float) -> complex:

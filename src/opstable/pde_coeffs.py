@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .charfn import MarketModel, log_cf_imag, projection_params
 from .errors import DomainError, UnsupportedRegimeError
@@ -71,7 +70,7 @@ def s_coefficient(model: MarketModel, n: int) -> complex:
 def _levy_constant(eta: float, sig: float, phi_dir: float) -> float:
     """phi_dir |sigma|^eta (-sin(pi eta / 2) Gamma(1 + eta) / pi): the factor of
     xi^(-eta-1) in the Levy density (see levy_density)."""
-    return phi_dir * sig ** eta * (-np.sin(np.pi * eta / 2) * _gamma(1.0 + eta) / np.pi)
+    return phi_dir * sig ** eta * (-np.sin(np.pi * eta / 2) * math.gamma(1.0 + eta) / np.pi)
 
 
 def levy_density(model: MarketModel, xi: float) -> float:

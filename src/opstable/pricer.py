@@ -22,11 +22,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma, ndtr
 
 from .charfn import (
     ContinuationMode,
     MarketModel,
+    gamma_ratio,
     log_cf_complex,
     log_cf_imag,
     log_cf_imag_upper,
@@ -115,11 +115,13 @@ def hamiltonian(model: MarketModel, k: complex) -> complex:
     Standard modes: V(k) = i k phi(-i sigma) + phi(-k sigma), with phi
     continued per the model's mode.  Gamma-ratio mode replaces the power-law
     combination with -(1/2) phi_dir sigma^eta Gamma(ik + eta) / Gamma(ik)
-    (1-D pure scaling only; the 1/2 normalization follows the sketched
-    substitution verbatim).
+    (1-D pure scaling only, for Im k <= 0; the 1/2 normalization follows
+    the sketched substitution verbatim).
     """
     k = complex(k)
     if model.logcf.continuation is ContinuationMode.GAMMA_RATIO:
+        if k.imag > 0:
+            raise DomainError("the gamma-ratio symbol is evaluated for Im k <= 0")
         return model.rate * 1j * k + _gamma_ratio_symbol(model, k)
     if k == 0:
         return 0.0 + 0.0j
@@ -129,12 +131,12 @@ def hamiltonian(model: MarketModel, k: complex) -> complex:
 
 
 def _gamma_ratio_symbol(model: MarketModel, k):
+    """-(1/2) phi_dir sigma^eta Gamma(ik + eta) / Gamma(ik) for Im k <= 0.
+
+    k is a complex scalar or array; a scalar gives a scalar.
+    """
     eta, sig, phi_dir = projection_params(model)
-    ik = 1j * np.asarray(k, dtype=complex)
-    # Gamma(ik + eta) / Gamma(ik) = ik Gamma(ik + eta) / Gamma(ik + 1), taken
-    # through log-Gamma: both Gammas under- or overflow at large |k|
-    ratio = ik * np.exp(loggamma(ik + eta) - loggamma(ik + 1.0))
-    return -0.5 * phi_dir * sig ** eta * ratio
+    return -0.5 * phi_dir * sig ** eta * gamma_ratio(1j * k, eta)
 
 
 def payoff_transform(contract: OptionContract, k: complex) -> PayoffTransform:
@@ -377,7 +379,7 @@ def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
     never decays, and DivergentIntegrandError is raised before any quadrature.
     """
     def g_fn(ws):
-        return np.exp(-tau * _gamma_ratio_symbol(model, -np.atleast_1d(ws)))
+        return np.exp(-tau * _gamma_ratio_symbol(model, -ws))
 
     eta, sig, phi_dir = projection_params(model)
     if eta <= 1.0:
@@ -386,11 +388,11 @@ def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
     scale = (2.0 / (tau * phi_dir)) ** (1.0 / eta) / sig
 
     def envelope(th):
-        return float(np.abs(g_fn(np.array([th + 1j * s])))[0])
+        return float(abs(g_fn(th + 1j * s)))
 
     rows = _theta_integral(lambda ths: g_fn(ths + 1j * s), d, 0.0, scale, envelope,
                            quad, slope)
-    first = complex(g_fn(np.array([1j * s]))[0])
+    first = complex(g_fn(1j * s))
     (val, err, tail), *slopes = rows
     return ([(0.5 * (first + val / np.pi), err / np.pi, tail / np.pi)]
             + [(0.5 * v / np.pi, e / np.pi, b / np.pi) for v, e, b in slopes])
@@ -507,13 +509,27 @@ def hedge_and_portfolio(model: MarketModel, contract: OptionContract, spot: floa
     return HedgeResult(n_s=n_s, portfolio=value, closed_form_gap=value - closed)
 
 
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def black_scholes_price(spot: float, strike: float, rate: float, variance_rate: float,
                         tau: float, style: OptionStyle = OptionStyle.CALL) -> float:
-    """Closed-form lognormal benchmark with variance rate v = 2 phi sigma^2."""
+    """Closed-form lognormal benchmark with variance rate v = 2 phi sigma^2.
+
+    Raises DomainError unless spot, strike, variance_rate and tau are finite
+    and positive and rate is finite.
+    """
+    if not (all(math.isfinite(v) and v > 0 for v in (spot, strike, variance_rate, tau))
+            and math.isfinite(rate)):
+        raise DomainError("black_scholes_price needs finite spot, strike, variance_rate, "
+                          "tau > 0 and a finite rate, got "
+                          f"{(spot, strike, rate, variance_rate, tau)!r}")
     vol_sq = variance_rate * tau
-    d1 = (np.log(spot / strike) + rate * tau + vol_sq / 2) / np.sqrt(vol_sq)
-    d2 = d1 - np.sqrt(vol_sq)
-    call = spot * ndtr(d1) - strike * np.exp(-rate * tau) * ndtr(d2)
+    d1 = (math.log(spot / strike) + rate * tau + vol_sq / 2) / math.sqrt(vol_sq)
+    d2 = d1 - math.sqrt(vol_sq)
+    discount = strike * math.exp(-rate * tau)
+    call = spot * _normal_cdf(d1) - discount * _normal_cdf(d2)
     if style is OptionStyle.PUT:
-        return call - spot + strike * np.exp(-rate * tau)
+        return call - spot + discount
     return call

@@ -9,6 +9,7 @@ functions over an immutable index, safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,15 +205,21 @@ def jurek_decompose(index: StableIndex, k) -> tuple[float, np.ndarray]:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (index.dimension,):
         raise DomainError(f"vector must have dimension {index.dimension}")
-    norm = float(np.linalg.norm(k))
+    # math.hypot scales internally: no square under- or overflows
+    norm = math.hypot(*k)
     if norm == 0.0:
         raise DomainError("the zero vector has no Jurek coordinates")
 
-    if index.regime is Regime.PURE_SCALING:
-        return norm ** (index.dimension * index.mu), k / norm
-    if index.regime is Regime.SCALING_ROTATION:
-        radius = norm ** (2 * index.mu)
-        angle = _rotation(2 * index.rotation_rate * index.mu * np.log(norm)) @ (k / norm)
+    if index.regime is not Regime.GENERIC:
+        try:
+            radius = norm ** index.scaling_exponent
+        except OverflowError:
+            radius = math.inf
+        if radius == math.inf:
+            raise DomainError("the Jurek radius of this vector overflows a float")
+        angle = k / norm
+        if index.regime is Regime.SCALING_ROTATION:
+            angle = _rotation(2 * index.rotation_rate * index.mu * np.log(norm)) @ angle
         return radius, angle
 
     k_tilde = index.eigenbasis.conj().T @ k.astype(complex)

@@ -25,7 +25,8 @@ from opstable import (
     matrix_power,
     price_option,
 )
-from opstable.charfn import projection_params
+from opstable.charfn import gamma_ratio, projection_params
+from opstable.pricer import _gamma_ratio_symbol
 
 from conftest import (
     make_1d_model,
@@ -118,6 +119,23 @@ def test_generic_char_fn_at_extreme_k():
     assert char_fn(m, [0.0, 1e15], 1.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_log_cf_at_extreme_k():
+    # |k| is taken without squaring k: at 1e-200 and 1e300 per component the
+    # squares under- and overflow, while |k|^0.5 is well inside the float range
+    phi = 0.5
+    m = MarketModel(alpha=0.0, sigma=[0.3, 0.4], rate=0.0,
+                    index=StableIndex.pure_scaling(2, 0.25),
+                    logcf=LogCharFn(ConstantAngular(phi)))
+    for c in (1e-200, 1e300):
+        assert log_cf(m, [c, c]) == pytest.approx(phi * (np.sqrt(2.0) * c) ** 0.5, rel=1e-14)
+    heavy = MarketModel(alpha=0.0, sigma=[0.3, 0.4], rate=0.0,
+                        index=StableIndex.pure_scaling(2, 0.9),
+                        logcf=LogCharFn(ConstantAngular(phi)))
+    with pytest.raises(DomainError, match="overflows"):
+        log_cf(heavy, [1e300, 1e300])
+
+
 def test_epsilon_monotonicity():
     base = make_1d_model(1.5, epsilon=0.0)
     damped1 = make_1d_model(1.5, epsilon=0.3)
@@ -183,6 +201,47 @@ def test_gamma_ratio_requires_1d_pure_scaling():
                     index=StableIndex.scaling_rotation(0.8, 0.2),
                     logcf=LogCharFn(DirectionalPair(0.5, 0.5),
                                     continuation=ContinuationMode.GAMMA_RATIO))
+
+
+def _mp_gamma_ratio(w, eta):
+    import mpmath
+    with mpmath.workdps(30):
+        w = mpmath.mpmathify(w)
+        return complex(w * mpmath.gamma(w + eta) / mpmath.gamma(w + 1))
+
+
+_RATIO_ETAS = (2.0, 1.9, 1.7, 1.5, 1.2, 1.01)
+
+
+@pytest.mark.parametrize("eta", _RATIO_ETAS)
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_gamma_ratio_on_the_pricing_line_matches_mpmath(eta, s):
+    # w = s - i theta, the points the gamma-ratio factor is evaluated at
+    w = s - 1j * np.geomspace(1e-4, 1e4, 41)
+    got = gamma_ratio(w, eta)
+    want = np.array([_mp_gamma_ratio(x, eta) for x in w])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("eta", _RATIO_ETAS)
+def test_gamma_ratio_on_the_real_line_matches_mpmath(eta):
+    for w in np.geomspace(1e-6, 1e4, 41):
+        want = _mp_gamma_ratio(float(w), eta).real
+        assert abs(gamma_ratio(float(w), eta) - want) <= 1e-14 * abs(want)
+    assert gamma_ratio(0.0, eta) == 0.0
+    assert gamma_ratio(0j, eta) == 0.0
+    assert np.all(gamma_ratio(np.zeros(3, dtype=complex), eta) == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [169.0, 200.0, 1e4])
+def test_gamma_ratio_continuation_at_large_shift(s):
+    # Gamma(s + eta) overflows from s ~ 169 on; the ratio of the two Gammas
+    # does not, and log_cf_imag and the pricer's symbol share one routine
+    m = make_1d_model(1.7, mode=ContinuationMode.GAMMA_RATIO)
+    value = log_cf_imag(m, s)
+    assert np.isfinite(value)
+    assert value == _gamma_ratio_symbol(m, -1j * s)
 
 
 def test_sigma_is_read_only_copy():

@@ -362,6 +362,24 @@ def test_prefactor_nonexistence():
         moment_prefactor(1.8, 1.5)
 
 
+def test_prefactor_matches_scipy_gamma():
+    from scipy.special import gamma
+    for rho in (0.5, 1.2, 1.7, 2.0, 25.0):
+        for beta in np.linspace(0.05, 0.95, 19) * rho:
+            if any(abs(r - round(r)) < 1e-6 for r in (beta / rho, beta / 2)):
+                continue
+            want = (2.0 ** (beta + 1) / (rho * np.sqrt(np.pi)) * gamma((beta + 1) / 2)
+                    * gamma(-beta / rho) / gamma(-beta / 2))
+            assert moment_prefactor(beta, rho) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta, rho", [(401.0, 1000.0), (1500.5, 3000.0)])
+def test_prefactor_past_the_float_range_raises(beta, rho):
+    # Gamma((beta + 1) / 2) / Gamma(-beta / 2) overflows from beta ~ 340 on
+    with pytest.raises(DomainError, match="overflows"):
+        moment_prefactor(beta, rho)
+
+
 def test_prefactor_matches_stable_absolute_moment():
     # E|X|^0.5 for a standard symmetric 1.5-stable draw, 2% tolerance
     from opstable import sample_stable

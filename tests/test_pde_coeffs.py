@@ -17,7 +17,7 @@ from opstable import (
     stirling_first_kind,
     stirling_row,
 )
-from opstable.pde_coeffs import CoeffTable, e_coefficient_divergence_rate
+from opstable.pde_coeffs import CoeffTable, _levy_constant, e_coefficient_divergence_rate
 
 from conftest import e_coefficient_series, make_1d_model
 
@@ -104,6 +104,12 @@ def test_levy_density_reference_constant():
     m = make_1d_model(1.5, phi=1.0, sigma=1.0)
     want = 1.0 / (gamma(-1.5) * 2 * np.cos(3 * np.pi / 4))
     assert levy_density(m, 1.0) == pytest.approx(want, rel=1e-14)
+
+
+def test_levy_constant_matches_scipy_gamma():
+    for eta in np.linspace(0.05, 2.0, 40):
+        want = 0.7 * 0.8 ** eta * (-np.sin(np.pi * eta / 2) * gamma(1.0 + eta) / np.pi)
+        assert _levy_constant(eta, 0.8, 0.7) == pytest.approx(want, rel=1e-14)
 
 
 def test_levy_density_power_scaling():

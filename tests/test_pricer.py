@@ -75,6 +75,14 @@ def test_hamiltonian_gamma_ratio_at_gaussian_exponent():
     assert hamiltonian(m, k) == pytest.approx(want, rel=1e-12)
 
 
+def test_hamiltonian_gamma_ratio_rejects_the_upper_half_plane():
+    # the gamma-ratio symbol is evaluated at ik with Re ik = -Im k >= 0
+    m = make_1d_model(1.7, mode=ContinuationMode.GAMMA_RATIO)
+    assert np.isfinite(hamiltonian(m, 3.0 - 1.0j))
+    with pytest.raises(DomainError):
+        hamiltonian(m, 3.0 + 1.0j)
+
+
 # --- payoff transform -------------------------------------------------------------
 
 def test_payoff_transform_direct_substitution():
@@ -236,6 +244,18 @@ def test_gaussian_put_matches_black_scholes(gaussian_model):
     rep = price_option(gaussian_model, p, 100.0)
     want = black_scholes_price(100.0, 105.0, 0.05, V_RATE, 0.75, OptionStyle.PUT)
     assert rep.price == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, value", [
+    ("tau", 0.0), ("variance_rate", 0.0), ("spot", -100.0), ("tau", np.nan),
+    ("strike", np.inf), ("variance_rate", -0.04), ("rate", np.nan), ("rate", np.inf),
+])
+def test_black_scholes_price_rejects_bad_inputs(name, value):
+    args = {"spot": 100.0, "strike": 100.0, "rate": 0.05, "variance_rate": V_RATE, "tau": 0.5}
+    args[name] = value
+    with pytest.raises(DomainError, match="black_scholes_price"):
+        black_scholes_price(**args)
 
 
 def test_put_call_parity_exact(stable_model_17):

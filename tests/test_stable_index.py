@@ -137,6 +137,35 @@ def test_generic_extreme_vectors():
         jurek_decompose(idx, [1e40, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index_factory", [
+    lambda: StableIndex.pure_scaling(2, 0.25),
+    lambda: StableIndex.scaling_rotation(0.25, 0.4),
+])
+@pytest.mark.parametrize("k, norm", [([1e-200, 1e-200], np.sqrt(2.0) * 1e-200),
+                                     ([1e300, 1e300], np.sqrt(2.0) * 1e300),
+                                     ([1e-320, 0.0], 1e-320)])
+def test_closed_form_extreme_vectors(index_factory, k, norm):
+    # |k| is taken without squaring k, so it neither under- nor overflows
+    # where |k|^0.5 is well inside the float range
+    idx = index_factory()
+    radius, angle = jurek_decompose(idx, k)
+    assert radius == pytest.approx(norm ** 0.5, rel=1e-12)
+    assert abs(np.linalg.norm(angle) - 1.0) <= 1e-12
+    rec = matrix_power(idx, radius) @ angle
+    assert np.max(np.abs(rec - k)) <= 1e-10 * max(k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_radius_past_the_float_range():
+    idx = StableIndex.pure_scaling(2, 0.9)
+    radius, angle = jurek_decompose(idx, [1e-200, 1e-200])
+    assert radius == 0.0  # (sqrt(2) 1e-200)^1.8 underflows
+    assert angle == pytest.approx([2 ** -0.5, 2 ** -0.5], rel=1e-15)
+    with pytest.raises(DomainError, match="overflows"):
+        jurek_decompose(idx, [1e300, 1e300])
+
+
 def test_zero_vector_rejected():
     idx = StableIndex.pure_scaling(2, 0.9)
     with pytest.raises(DomainError):
