@@ -401,24 +401,6 @@ def _suite_moments(model, quad, args):
     return checks
 
 
-def _suite_appendix(model, quad, args):
-    checks = []
-    tau = 0.5
-    m1, m2 = pricer.m_factors(model, 0.0, 1.0, tau)
-    want = 2 * np.exp(-tau * charfn.log_cf_imag_upper(model, 1.0))
-    err = abs(m1 - want) + abs(m2)
-    checks.append(("M factors at theta = 0", err, 1e-12, err <= 1e-12))
-    z = charfn.log_cf_imag(model, 1.0) * tau
-    if abs(complex(z).imag) < 1e-13:
-        worst = 0.0
-        for d in (-0.3, 0.2, 0.8):
-            a, _ = pricer.n_factor(model, 0.0, d, z, tau, quad, method="appendix")
-            b, _ = pricer.n_factor(model, 0.0, d, z, tau, quad, method="direct")
-            worst = max(worst, abs(a.real - b.real))
-        checks.append(("appendix vs direct CDF factor", worst, 1e-6, worst <= 1e-6))
-    return checks
-
-
 def _suite_mc_cross(model, quad, args):
     contract = pricer.OptionContract(pricer.OptionStyle.CALL, 1.0, 0.25)
     rep = pricer.price_option(model, contract, 1.0, 0.0, quad)
@@ -432,7 +414,6 @@ _SUITES = {
     "gaussian-limit": _suite_gaussian_limit,
     "self-similarity": _suite_self_similarity,
     "moments": _suite_moments,
-    "appendix": _suite_appendix,
     "mc-cross": _suite_mc_cross,
 }
 

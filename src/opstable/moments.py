@@ -214,11 +214,11 @@ def power_marginal_cf(model: MarketModel, beta: float, k: float, t: float,
     xs, ws = _gl_rule(quad.nodes_per_panel)
     widths = np.diff(edges)
     pts = (edges[:-1, None] + widths[:, None] * xs).ravel()
-    # nu1 is even: K(k, lam) + K(k, -lam) from one kernel call on the stacked
-    # nodes, weighted by nu1 once
-    kern = _power_kernel_grid(params, kk, np.concatenate([pts, -pts]),
-                              nodes=quad.nodes_per_panel)
-    vals = (kern[:len(pts)] + kern[len(pts):]) * nu1(pts)
+    # nu1 is even: K(k, lam) + K(k, -lam), weighted by nu1 once; one kernel
+    # call per sign, so each sizes its t-range from its own growth
+    kern = (_power_kernel_grid(params, kk, pts, nodes=quad.nodes_per_panel)
+            + _power_kernel_grid(params, kk, -pts, nodes=quad.nodes_per_panel))
+    vals = kern * nu1(pts)
     return complex(np.einsum("pn,n,p->", vals.reshape(len(widths), len(xs)), ws, widths))
 
 

@@ -202,21 +202,18 @@ def _pricing_scales(model: MarketModel, tau: float) -> float:
 
 
 def _theta_integral(cf, y: float, zi: float, scale: float, envelope,
-                    quad: QuadratureConfig, slope: bool = False) -> list:
+                    quad: QuadratureConfig) -> tuple:
     """Half-line theta-integral of the contour-shifted (appendix) representation.
 
     int_0^inf ( sin(theta y)/theta * (cosh(theta zi) M1 + sinh(theta zi) M2)
               + i cos(theta y)/theta * (cosh(theta zi) M2 + sinh(theta zi) M1) ) dtheta
     with M1, M2 the even/odd combinations of F(+theta) = cf(theta) and
     F(-theta) = conj F(+theta), which holds exactly at every theta > 0,
-    so at every Gauss node (README, "Conjugate symmetry").  Returns a list
-    of (value, error, tail bound) triples of `half_line_pass`, each tail
-    bound doubled: each of the sine and cosine parts is at most
-    2 envelope / theta when exp(|zi| theta) |F(+theta)| stays below the
-    envelope, as exp(|zi| theta) |F(-theta)| then does by the identity.  The
-    list holds the value's triple; with `slope` a second triple follows for
-    the y-derivative, the row cos(theta y) m_sin - i sin(theta y) m_cos on
-    the same nodes, whose parts are at most 2 envelope each.
+    so at every Gauss node (README, "Conjugate symmetry").  Returns the
+    (value, error, tail bound) triple of `half_line_pass`, the tail bound
+    doubled: each of the sine and cosine parts is at most 2 envelope / theta
+    when exp(|zi| theta) |F(+theta)| stays below the envelope, as
+    exp(|zi| theta) |F(-theta)| then does by the identity.
     """
     def integrand(ths):
         f_plus = cf(ths)
@@ -225,25 +222,15 @@ def _theta_integral(cf, y: float, zi: float, scale: float, envelope,
         down = np.exp(-ths * zi)
         m_sin = up * f_plus + down * f_minus
         m_cos = up * f_plus - down * f_minus
-        sn, cs = np.sin(ths * y), np.cos(ths * y)
-        value = sn / ths * m_sin + 1j * cs / ths * m_cos
-        # a lone value row stays unstacked: stacking copies every node value
-        return np.array([value, cs * m_sin - 1j * sn * m_cos]) if slope else value
+        return np.sin(ths * y) / ths * m_sin + 1j * np.cos(ths * y) / ths * m_cos
 
-    if not slope:
-        value, err, tail = half_line_pass(integrand, scale, abs(y), quad, envelope)
-        return [(value, err, 2.0 * tail)]
-    vals, errs, tails = half_line_pass(integrand, scale, abs(y), quad, envelope,
-                                       flat=(False, True))
-    return [(v, e, 2.0 * b) for v, e, b in zip(vals.tolist(), errs.tolist(), tails)]
+    value, err, tail = half_line_pass(integrand, scale, abs(y), quad, envelope)
+    return value, err, 2.0 * tail
 
 
 def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: float,
-                   quad: QuadratureConfig, slope: bool = False) -> list:
-    """[(value, error, tail bound)] of the appendix-route factor N^(s)(d; z).
-
-    With `slope` a second triple follows for dN/dd from the same pass.
-    """
+                   quad: QuadratureConfig) -> tuple:
+    """(value, error, tail bound) of the appendix-route factor N^(s)(d; z)."""
     if tau <= 0:
         raise DomainError("n-factor requires tau > 0")
     z = complex(z)
@@ -255,15 +242,13 @@ def _appendix_pass(model: MarketModel, s: float, d: float, z: complex, tau: floa
         g = tau * log_cf_complex(model, th + 1j * s).real - abs(zi) * th
         return float(np.exp(-min(g, 700.0)))
 
-    rows = _theta_integral(lambda ths: np.exp(-tau * log_cf_complex(model, ths + 1j * s)),
-                           d + zr, zi, scale, envelope, quad, slope)
+    val, err, tail = _theta_integral(
+        lambda ths: np.exp(-tau * log_cf_complex(model, ths + 1j * s)),
+        d + zr, zi, scale, envelope, quad)
     first = np.exp(-tau * log_cf_imag_upper(model, s))
     pre = np.exp(s * z) / 2.0
-    (val, err, tail), *slopes = rows
-    out = [(complex(pre * (first + val / np.pi)), abs(pre) * err / np.pi,
-            abs(pre) * tail / np.pi)]
-    return out + [(complex(pre * v / np.pi), abs(pre) * e / np.pi, abs(pre) * b / np.pi)
-                  for v, e, b in slopes]
+    return (complex(pre * (first + val / np.pi)), abs(pre) * err / np.pi,
+            abs(pre) * tail / np.pi)
 
 
 def _real_cf(model: MarketModel, tau: float):
@@ -277,18 +262,13 @@ def _real_cf(model: MarketModel, tau: float):
 
 
 def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: float,
-                 quad: QuadratureConfig, slopes: bool = False) -> list:
+                 quad: QuadratureConfig) -> list:
     """Direct-route factors for every s in `shifts`, on one set of nodes.
 
     The kernels of N^(0) and N^(1) share the real characteristic factor,
     the decay scale and the frequency |d + z|, hence their panels, so
     exp(-tau phi) is evaluated once per node for all of them.  Returns one
-    (value, error, tail bound) triple per shift; with `slopes`, one more per
-    shift for dN/dd, from the y-derivative rows on the same nodes:
-    cos(theta y) CF for s = 0, and for s = 1
-    -CF theta (sin(theta y) + theta cos(theta y)) / (1 + theta^2), which
-    gives dN/dd = -e^z T'(y) with T' = -T + (e^{-y}/pi) int (that row).
-    The derivative rows are bounded by CF itself, not CF / theta.
+    (value, error, tail bound) triple per shift.
     """
     y = d + zr
     cf = _real_cf(model, tau)
@@ -296,33 +276,20 @@ def _direct_pass(model: MarketModel, shifts: tuple, d: float, zr: float, tau: fl
     def integrand(ths):
         c = cf(ths)
         sn = np.sin(ths * y)
-        cs = np.cos(ths * y)
-        rows = [sn / ths * c if s == 0 else c * (cs - ths * sn) / (1.0 + ths * ths)
-                for s in shifts]
-        if slopes:
-            rows += [cs * c if s == 0 else -c * ths * (sn + ths * cs) / (1.0 + ths * ths)
-                     for s in shifts]
-        return np.array(rows)
+        return np.array([sn / ths * c if s == 0
+                         else c * (np.cos(ths * y) - ths * sn) / (1.0 + ths * ths)
+                         for s in shifts])
 
-    flat = [False] * len(shifts) + [True] * (len(shifts) if slopes else 0)
-    vals, errs, tails = half_line_pass(integrand, _pricing_scales(model, tau), abs(y), quad,
-                                       lambda th: float(cf(np.array([th]))[0]), flat=flat)
-    rows = list(zip(vals.tolist(), errs.tolist(), tails))
+    vals, errs, tail = half_line_pass(integrand, _pricing_scales(model, tau), abs(y), quad,
+                                      lambda th: float(cf(np.array([th]))[0]))
     t_scale = np.exp(-y) / np.pi
     out = []
-    for s, (val, err, tail) in zip(shifts, rows):
+    for s, val, err in zip(shifts, vals.tolist(), errs.tolist()):
         if s == 0:
             out.append((complex(0.5 + val / np.pi), err / np.pi, tail / np.pi))
         else:
             out.append((complex(1.0 - np.exp(zr) * (t_scale * val)),
                         np.exp(zr - y) * err / np.pi, np.exp(zr - y) * tail / np.pi))
-    for s, (val, err, tail), (dval, derr, dtail) in zip(shifts, rows, rows[len(shifts):]):
-        if s == 0:
-            out.append((complex(dval / np.pi), derr / np.pi, dtail / np.pi))
-        else:
-            out.append((complex(np.exp(zr) * t_scale * (val - dval)),
-                        np.exp(zr - y) * (err + derr) / np.pi,
-                        np.exp(zr - y) * (tail + dtail) / np.pi))
     return out
 
 
@@ -355,7 +322,7 @@ def n_factor(model: MarketModel, s: float, d: float, z: complex, tau: float,
     if method == "auto":
         method = "direct" if abs(z.imag) < 1e-13 and s in (0, 1) else "appendix"
     if method == "appendix":
-        (value, err, _), = _appendix_pass(model, s, d, z, tau, quad)
+        value, err, _ = _appendix_pass(model, s, d, z, tau, quad)
         return value, err
     if abs(z.imag) > 1e-13:
         raise DomainError("the direct route needs a real shift z (real-part mode)")
@@ -370,12 +337,12 @@ def n_factor(model: MarketModel, s: float, d: float, z: complex, tau: float,
 # --------------------------------------------------------------------------
 
 def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
-                          quad: QuadratureConfig, slope: bool = False) -> list:
-    """[(value, error, tail bound)] of the N-factor of a non-even Hamiltonian symbol.
+                          quad: QuadratureConfig) -> tuple:
+    """(value, error, tail bound) of the N-factor of a non-even Hamiltonian symbol.
 
     The appendix pass with the characteristic factor G(w) = exp(-tau V(-w))
-    and no separate shift (the drift lives inside V).  With `slope` a second
-    triple follows for dN/dd from the same pass.  For eta <= 1 the integrand
+    and no separate shift (the drift lives inside V).  The prefactor 1/2
+    scales the error terms as it does the value.  For eta <= 1 the integrand
     never decays, and DivergentIntegrandError is raised before any quadrature.
     """
     def g_fn(ws):
@@ -390,37 +357,28 @@ def _n_factor_hamiltonian(model: MarketModel, s: float, d: float, tau: float,
     def envelope(th):
         return float(abs(g_fn(th + 1j * s)))
 
-    rows = _theta_integral(lambda ths: g_fn(ths + 1j * s), d, 0.0, scale, envelope,
-                           quad, slope)
+    val, err, tail = _theta_integral(lambda ths: g_fn(ths + 1j * s), d, 0.0, scale,
+                                     envelope, quad)
     first = complex(g_fn(1j * s))
-    (val, err, tail), *slopes = rows
-    return ([(0.5 * (first + val / np.pi), err / np.pi, tail / np.pi)]
-            + [(0.5 * v / np.pi, e / np.pi, b / np.pi) for v, e, b in slopes])
+    return 0.5 * (first + val / np.pi), 0.5 * err / np.pi, 0.5 * tail / np.pi
 
 
 # --------------------------------------------------------------------------
 # option price, hedge and portfolio
 # --------------------------------------------------------------------------
 
-def _factors(model: MarketModel, d: float, tau: float, quad: QuadratureConfig,
-             slopes: bool = False) -> tuple:
-    """(z, triples): N1 and N2 as (value, error, tail bound) on the model's route.
+def _factors(model: MarketModel, d: float, tau: float, quad: QuadratureConfig) -> tuple:
+    """(z, [N1, N2]), each factor a (value, error, tail bound) triple.
 
-    One pass per factor (one for both on the direct route).  With `slopes`,
-    dN1/dd and dN2/dd follow, from derivative rows on the same nodes; the
-    value rows, and so N1 and N2, are those of the pass without them.
+    One pass per factor on the model's route (one for both on the direct
+    route).
     """
     if model.logcf.continuation is ContinuationMode.GAMMA_RATIO:
-        z = 0.0 + 0.0j
-        (f1, *g1), (f2, *g2) = (_n_factor_hamiltonian(model, s, d, tau, quad, slopes)
-                                for s in (1.0, 0.0))
-        return z, [f1, f2, *g1, *g2]
+        return 0.0 + 0.0j, [_n_factor_hamiltonian(model, s, d, tau, quad) for s in (1.0, 0.0)]
     z = log_cf_imag(model, 1.0) * tau
     if abs(complex(z).imag) < 1e-13:
-        return z, _direct_pass(model, (1.0, 0.0), d, complex(z).real, tau, quad, slopes)
-    (f1, *g1), (f2, *g2) = (_appendix_pass(model, s, d, z, tau, quad, slopes)
-                            for s in (1.0, 0.0))
-    return z, [f1, f2, *g1, *g2]
+        return z, _direct_pass(model, (1.0, 0.0), d, complex(z).real, tau, quad)
+    return z, [_appendix_pass(model, s, d, z, tau, quad) for s in (1.0, 0.0)]
 
 
 def _price_inputs(model: MarketModel, contract: OptionContract, spot: float,
@@ -483,27 +441,30 @@ def hedge_and_portfolio(model: MarketModel, contract: OptionContract, spot: floa
 
     C is homogeneous of degree 1 in (spot, K) and d = -log(K/spot) + r tau,
     so dC/dS = N1 + N1'(d) - (K e^{-r tau}/spot) N2'(d), with the primes
-    d-derivatives; a put's is one less.  The derivatives are integrated on
-    the nodes of the pricing pass, whose value rows give C, equal to
-    `price_option`'s price.  An AccuracyWarning fires when the hedge's own
-    error estimate, the node-halving errors plus the tail bounds of N1, N1'
-    and N2' weighted as in dC/dS, exceeds 1e-4.
+    d-derivatives.  The two derivative terms cancel.  On the direct route
+    N2 = P(X <= y) and N1 = 1 - e^z int_y^inf e^{-x} f(x) dx, with y = d + z
+    and f the density of the projected log-price X, so N2' = f(y) and
+    N1' = e^{z-y} f(y) = e^{-d} f(y) = (K e^{-r tau}/spot) N2'.  The appendix
+    and gamma-ratio passes integrate the same two functionals under the
+    continued factor, so the identity holds there formally; its Gaussian
+    limit is Black-Scholes' S n(d1) = K e^{-r tau} n(d2).  Hence dC/dS = N1,
+    and N_S = -Re N1 (a put's is one more), read from the pass that
+    `price_option` runs.  An AccuracyWarning fires when N1's error
+    estimate, its node-halving error plus its tail bound, exceeds 1e-4.
 
     The portfolio value is checked against its closed form
     -K e^{-r tau} N2(d1); the gap is reported, not asserted, because the
     factor solution is itself an approximation away from the Gaussian limit.
     """
     tau, d, k_disc = _price_inputs(model, contract, spot, t)
-    z, (f1, f2, g1, g2) = _factors(model, d, tau, quad, slopes=True)
+    z, (f1, f2) = _factors(model, d, tau, quad)
     report = _report(model, contract, spot, k_disc, d, z, f1, f2)
-    weight = k_disc / spot
-    slope = float((f1[0] + g1[0] - weight * g2[0]).real)
+    _, e1, b1 = f1
+    if e1 + b1 > 1e-4:
+        warnings.warn(f"hedge-ratio error estimate {e1 + b1:.2e} exceeds 1e-4", AccuracyWarning)
+    n_s = -report.n1.real
     if contract.style is OptionStyle.PUT:
-        slope -= 1.0
-    err = sum(w * (e + b) for w, (_, e, b) in zip((1.0, 1.0, weight), (f1, g1, g2)))
-    if err > 1e-4:
-        warnings.warn(f"hedge-ratio error estimate {err:.2e} exceeds 1e-4", AccuracyWarning)
-    n_s = -slope
+        n_s += 1.0
     value = n_s * spot + report.price
     closed = -k_disc * report.n2.real
     return HedgeResult(n_s=n_s, portfolio=value, closed_form_gap=value - closed)

@@ -133,7 +133,7 @@ def _panel_widths(decay_scale: float, osc_freq: float) -> tuple[float, float]:
 
 
 def half_line_pass(f, decay_scale: float, osc_freq: float, cfg: QuadratureConfig,
-                   envelope, target: float | None = None, flat=None):
+                   envelope, target: float | None = None):
     """Integral of f over [0, inf), truncated where `envelope` decays, with error terms.
 
     The range is cut at x_end, the doubling point past `decay_scale` where
@@ -147,10 +147,7 @@ def half_line_pass(f, decay_scale: float, osc_freq: float, cfg: QuadratureConfig
     kernels, which adds the factor 2 / x_end.  When the search stopped at its
     first probe there is no secant and tail is inf.
     Kernel-axis integrands (see `integrate_panels`) give arrays for value and
-    error; tail bounds each kernel.  `flat`, a boolean per kernel row, marks
-    the rows only bounded by 2 envelope(x), as the pricing kernels'
-    derivatives are; their bound 2 envelope(x_end) / s lacks the 1 / x_end
-    factor, and tail is then a list, one bound per kernel row.
+    error; the one tail bounds each kernel row.
     """
     target = cfg.tolerance * 1e-3 if target is None else target
     x_end, e_end, x_prev, e_prev = find_decay_point(envelope, target, decay_scale,
@@ -159,16 +156,11 @@ def half_line_pass(f, decay_scale: float, osc_freq: float, cfg: QuadratureConfig
     edges = panel_edges(x_end, first_width, cfg.panel_growth, max_width)
     value, err = integrate_panels(f, edges, cfg.nodes_per_panel)
     if x_prev is None:
-        tail = flat_tail = np.inf
-    elif e_end == 0.0:
-        tail = flat_tail = 0.0
-    else:
-        slope = np.log(e_prev / e_end) / (x_end - x_prev)
-        tail = 2.0 * e_end / (slope * x_end)
-        flat_tail = 2.0 * e_end / slope
-    if flat is None:
-        return value, err, float(tail)
-    return value, err, [float(flat_tail if f else tail) for f in flat]
+        return value, err, np.inf
+    if e_end == 0.0:
+        return value, err, 0.0
+    slope = np.log(e_prev / e_end) / (x_end - x_prev)
+    return value, err, float(2.0 * e_end / (slope * x_end))
 
 
 def periodic_average(f, n_nodes: int = 1024, doubling_tol: float = 1e-10):

@@ -136,8 +136,8 @@ def test_generic_config_round_trip(generic_config_path):
 
 @pytest.mark.parametrize("config", ["stable_config_path", "generic_config_path"])
 def test_validate_all_skips_inapplicable_suites(config, request, capsys):
-    # gaussian-limit does not apply to mu = 1.7, and neither it, appendix nor
-    # mc-cross to the generic regime; they must skip, not fail
+    # gaussian-limit does not apply to mu = 1.7, and neither it nor mc-cross
+    # to the generic regime; they must skip, not fail
     assert main(["validate", request.getfixturevalue(config), "--suite", "all",
                  "--samples", "100", "--paths", "50000"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -151,10 +151,6 @@ def test_validate_moments_suite(stable_config_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     names = {r["check"] for r in rows}
     assert "even integer moment raises" in names
-
-
-def test_validate_appendix_suite(stable_config_path):
-    assert main(["validate", stable_config_path, "--suite", "appendix"]) == 0
 
 
 def test_moments_subcommand_reports_nonexistence(stable_config_path, capsys):
@@ -257,9 +253,9 @@ def test_numerical_error_exits_3(tmp_path, capsys):
 def test_validate_failure_exits_1_for_numpy_bool(gauss_config_path, monkeypatch, capsys):
     from opstable import cli
 
-    monkeypatch.setitem(cli._SUITES, "appendix",
+    monkeypatch.setitem(cli._SUITES, "moments",
                         lambda model, quad, args: [("forced", 1.0, 0.0, np.False_)])
-    assert main(["validate", gauss_config_path, "--suite", "appendix"]) == 1
+    assert main(["validate", gauss_config_path, "--suite", "moments"]) == 1
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["status"] == "fail"
 
@@ -342,9 +338,9 @@ def test_validate_prints_a_non_finite_measurement_as_null(gauss_config_path, mon
                                                           capsys):
     from opstable import cli
 
-    monkeypatch.setitem(cli._SUITES, "appendix",
+    monkeypatch.setitem(cli._SUITES, "moments",
                         lambda model, quad, args: [("forced", float("nan"), 0.0, False)])
-    assert main(["validate", gauss_config_path, "--suite", "appendix"]) == 1
+    assert main(["validate", gauss_config_path, "--suite", "moments"]) == 1
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["measured"] is None
     assert rows[0]["status"] == "fail"

@@ -335,6 +335,15 @@ def test_gamma_ratio_without_decay_raises_before_quadrature(monkeypatch, mu, rou
             route(m, OptionContract(OptionStyle.CALL, 1.0, 0.5), 1.0)
 
 
+def test_gamma_ratio_factor_halves_its_error_terms(monkeypatch):
+    # N = (1/2)(G(is) + I/pi): the prefactor 1/2 scales the integral's error
+    # and tail bound as it scales the integral
+    monkeypatch.setattr(pricer, "_theta_integral", lambda *args: (0.0, 1.0, 1.0))
+    m = make_1d_model(1.7, mode=ContinuationMode.GAMMA_RATIO)
+    _, err, tail = _n_factor_hamiltonian(m, 1.0, 0.1, 0.5, QuadratureConfig())
+    assert err == tail == 0.5 / np.pi
+
+
 @pytest.mark.parametrize("mu, tau", [(1.2, 0.5), (1.5, 0.25), (2.0, 0.02)])
 def test_gamma_ratio_price_finite_where_gamma_overflows(mu, tau):
     # Gamma(ik + eta) and Gamma(ik + 1) overflow separately at large |k|;
@@ -392,8 +401,8 @@ def test_option_contract_arguments_out_of_order_raise_domain_error():
 def _two_pass_factors(model, d, tau, quad):
     """(N1, e1), (N2, e2) through the public per-factor routes."""
     if model.logcf.continuation is ContinuationMode.GAMMA_RATIO:
-        return (_n_factor_hamiltonian(model, 1.0, d, tau, quad)[0][:2],
-                _n_factor_hamiltonian(model, 0.0, d, tau, quad)[0][:2])
+        return (_n_factor_hamiltonian(model, 1.0, d, tau, quad)[:2],
+                _n_factor_hamiltonian(model, 0.0, d, tau, quad)[:2])
     z = log_cf_imag(model, 1.0) * tau
     return n_factor(model, 1.0, d, z, tau, quad), n_factor(model, 0.0, d, z, tau, quad)
 
@@ -528,7 +537,7 @@ def test_deep_otm_hedge_vanishes():
     assert abs(hr.portfolio) <= 1e-8
 
 
-# --- analytic hedge on the pricing pass's nodes ----------------------------------------
+# --- the hedge from the pricing pass ------------------------------------------------
 
 _ROUTES = [(ContinuationMode.REAL_PART, mu) for mu in (2.0, 1.7, 1.2)] + \
           [(ContinuationMode.PRINCIPAL_COMPLEX, mu) for mu in (2.0, 1.7, 1.2)] + \
@@ -575,12 +584,25 @@ def test_put_hedge_is_call_hedge_plus_one(mode, mu):
 
 @pytest.mark.parametrize("mode, mu", _ROUTES)
 def test_hedge_pass_prices_as_price_option(mode, mu):
-    # V = N_S S + C with C from the hedge pass's value rows, bit for bit
+    # V = N_S S + C with C the price `price_option` returns, bit for bit
     model = make_1d_model(mu, mode=mode)
     for style in (OptionStyle.CALL, OptionStyle.PUT):
         c = OptionContract(style, 1.1, 0.5)
         hr = _quiet_hedge(model, c, 1.0)
         assert hr.portfolio == hr.n_s * 1.0 + price_option(model, c, 1.0).price
+
+
+@pytest.mark.parametrize("mode, mu", _ROUTES)
+def test_hedge_is_minus_n1_of_the_price(mode, mu):
+    # N1' and (K e^{-r tau}/S) N2' cancel, so -dC/dS is -Re N1, bit for bit
+    model = make_1d_model(mu, mode=mode)
+    for strike in (0.8, 1.1):
+        for style in (OptionStyle.CALL, OptionStyle.PUT):
+            c = OptionContract(style, strike, 0.5)
+            want = -price_option(model, c, 1.0).n1.real
+            if style is OptionStyle.PUT:
+                want += 1.0
+            assert _quiet_hedge(model, c, 1.0).n_s == want, (strike, style)
 
 
 @pytest.mark.parametrize("mu", [1.7, 1.5, 1.2])
@@ -592,8 +614,8 @@ def test_heavy_tail_hedge_raises_no_accuracy_warning(mu):
     assert -1.0 < hr.n_s < 0.0
 
 
-# rounding of a hedge ratio summed from factors of order one (N1 + N1' cancels
-# to the last few bits of 1 far out of the money)
+# rounding of a hedge ratio read from a factor of order one (N1 = 1 - e^z T
+# lands within the last few bits of 0 or 1 far from the money)
 _HEDGE_ROUNDING = 1e-14
 
 

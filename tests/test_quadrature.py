@@ -64,27 +64,6 @@ def test_half_line_pass_tail_bound_covers_the_exact_tail(monkeypatch):
     assert half_line_pass(damped, 1.0, 3.0, QuadratureConfig(tolerance=1e-300), env)[2] == 0.0
 
 
-def test_flat_rows_get_the_envelope_tail_bound():
-    # |e^-x cos 3x| <= 2 env(x) for env(x) = e^-x / 2, with no 1/x decay; the
-    # flat bound covers the exact tail, the 1/x bound of the other row is
-    # the same bound divided by x_end
-    def env(x):
-        return np.exp(-x) / 2.0
-
-    def stacked(xs):
-        return np.stack([damped(xs) / (1.0 + xs), damped(xs)])
-
-    value, err, tail = half_line_pass(stacked, 1.0, 3.0, CFG, env, target=1e-5,
-                                      flat=(False, True))
-    x_end = quadrature.find_decay_point(env, 1e-5, 1.0, CFG.theta_cutoff)[0]
-    exact_tail = np.exp(-x_end) * (np.cos(3 * x_end) - 3 * np.sin(3 * x_end)) / 10
-    assert tail[1] >= abs(exact_tail) > 0
-    assert tail[0] == pytest.approx(tail[1] / x_end, rel=1e-15)
-    assert abs(value[1] + exact_tail - 0.1) < 1e-12
-    scalar = half_line_pass(damped, 1.0, 3.0, CFG, env, target=1e-5)
-    assert (scalar[0], scalar[1]) == (value[1], err[1])
-
-
 def test_periodic_average_matches_two_grid_scalar_reference():
     def smooth(x):
         return np.exp(0.7 * np.cos(x)) * (1.2 + np.sin(3.0 * x))
